@@ -2,7 +2,8 @@
 constructions, verification sweeps, mining, and equivalence suites.
 
 Exit codes: 0 when the queried property holds (or the suite passed), 1 when
-it fails (or a mismatch was found), 2 on usage or input errors.
+it fails (or a mismatch was found), 2 on usage or input errors, 3 on an
+internal error (for example a spectral radius that could not be certified).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .harness import (
     verify_quotient_transfer,
     _round12,
 )
-from .spectral import spectral_radius
+from .spectral import DIRECT_MAX_ORDER, spectral_radius
 
 
 def _load_edges_file(path: str) -> Graph:
@@ -275,9 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rho", help="spectral radius of a graph or of hnb(n,b)")
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--g6", help="graph6 record (dense iteration)")
+    src.add_argument("--g6", help="graph6 record (dense: direct eigensolve on components "
+                     f"of order <= {DIRECT_MAX_ORDER}, power iteration above)")
     src.add_argument("--hnb", metavar="N,B", help="closed-form quotient route")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help="certified bound on the l2 residual (--g6 only); exit 3 when unmet")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_rho)
 
@@ -335,6 +338,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, Graph6Error, CapExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # never let a fault read as "property fails"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

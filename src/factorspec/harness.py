@@ -40,6 +40,8 @@ from .oracle import all_ab_factors_oracle, all_fractional_oracle
 from .spectral import charpoly_eval_3x3, hong_bound, leading_eigenvalue, quotient_matrix, spectral_radius
 
 MODES = ("integer", "fractional")
+# mine_extremal treats spectral radii this close (relative) as equal
+RHO_TIE_REL = 1e-9
 GRAPH6_HEADER = b">>graph6<<"
 
 
@@ -86,25 +88,40 @@ def load_graph6_file(path: str | os.PathLike, lenient: bool = False) -> list[Gra
 # -- deterministic parallel sweep ----------------------------------------------
 
 
+def available_parallelism() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without affinity masks
+        return os.cpu_count() or 1
+
+
 def worker_count() -> int:
+    """``FACTORSPEC_WORKERS`` clamped to [1, available parallelism]."""
+    limit = available_parallelism()
     env = os.environ.get("FACTORSPEC_WORKERS")
     if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+        return min(max(1, int(env)), limit)
+    return limit
 
 
 def _sweep(fn: Callable, cases: list, workers: Optional[int]) -> list:
     """Order-preserving map, parallel when it pays off; output is identical
-    to the sequential run by construction."""
-    n_workers = worker_count() if workers is None else max(1, workers)
+    to the sequential run by construction.  Only a pool that cannot be
+    created falls back to serial; errors raised by tasks propagate."""
+    if workers is None:
+        n_workers = worker_count()
+    else:
+        n_workers = min(max(1, workers), available_parallelism())
     if n_workers <= 1 or len(cases) < 4:
         return [fn(case) for case in cases]
     try:
-        with multiprocessing.get_context().Pool(n_workers) as pool:
-            chunk = max(1, len(cases) // (n_workers * 8))
-            return pool.map(fn, cases, chunksize=chunk)
-    except (OSError, PermissionError):  # e.g. sandboxes without /dev/shm
+        pool = multiprocessing.get_context().Pool(n_workers)
+    except OSError:  # e.g. sandboxes without /dev/shm
         return [fn(case) for case in cases]
+    with pool:
+        chunk = max(1, len(cases) // (n_workers * 8))
+        return pool.map(fn, cases, chunksize=chunk)
 
 
 def _decide(g: Graph, a: int, b: int, mode: str, cap: Optional[int]) -> bool:
@@ -118,12 +135,12 @@ def _decide(g: Graph, a: int, b: int, mode: str, cap: Optional[int]) -> bool:
     return has_all_fractional_ab_factors(g, bounds, cap=cap).verdict
 
 
-def _mine_case(case: tuple[bytes, int, int, str, Optional[int]]) -> tuple[bytes, bool, Optional[float]]:
-    g6, a, b, mode, cap = case
-    g = parse_graph6(g6)
+def _mine_case(case: tuple[Graph, int, int, str, Optional[int]]) -> Optional[float]:
+    """rho of a graph that fails the property; None when it holds."""
+    g, a, b, mode, cap = case
     if _decide(g, a, b, mode, cap):
-        return (g6, True, None)
-    return (g6, False, spectral_radius(g).rho)
+        return None
+    return spectral_radius(g).rho
 
 
 def _oracle(g: Graph, a: int, b: int, mode: str) -> bool:
@@ -133,10 +150,9 @@ def _oracle(g: Graph, a: int, b: int, mode: str) -> bool:
     return all_fractional_oracle(g, bounds)
 
 
-def _suite_case(case: tuple[bytes, int, int, str]) -> tuple[bytes, int, int, bool, bool]:
-    g6, a, b, mode = case
-    g = parse_graph6(g6)
-    return (g6, a, b, _decide(g, a, b, mode, None), _oracle(g, a, b, mode))
+def _suite_case(case: tuple[Graph, int, int, str]) -> tuple[bool, bool]:
+    g, a, b, mode = case
+    return (_decide(g, a, b, mode, None), _oracle(g, a, b, mode))
 
 
 # -- reports -------------------------------------------------------------------
@@ -204,8 +220,9 @@ def mine_extremal(
     """Run the exact decider over a same-order catalog and report the
     spectral-radius maximizer among the failing graphs.
 
-    Ties break to the lexicographically-least graph6 record, so the report
-    does not depend on scheduling.
+    Radii within RHO_TIE_REL (relative) of the maximum tie, and ties break
+    to the lexicographically-least graph6 record, so the report depends
+    neither on scheduling nor on the last bits of the eigensolver.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -216,17 +233,17 @@ def mine_extremal(
     n = glist[0].n
     if any(g.n != n for g in glist):
         raise ValueError("mine_extremal requires all graphs to have the same order")
-    cases = [(to_graph6(g), bounds.a, bounds.b, mode, cap) for g in glist]
-    results = _sweep(_mine_case, cases, workers)
-    failing = 0
+    cases = [(g, bounds.a, bounds.b, mode, cap) for g in glist]
+    failing = [(rho, g) for rho, g in zip(_sweep(_mine_case, cases, workers), glist)
+               if rho is not None]
     max_rho: Optional[float] = None
-    argmax: Optional[bytes] = None
-    for g6, ok, rho in results:
-        if ok:
-            continue
-        failing += 1
-        if max_rho is None or rho > max_rho or (rho == max_rho and g6 < argmax):
-            max_rho, argmax = rho, g6
+    argmax: Optional[Graph] = None
+    argmax_g6: Optional[str] = None
+    if failing:
+        top = max(rho for rho, _ in failing)
+        tied = [(to_graph6(g).decode("ascii"), rho, g)
+                for rho, g in failing if top - rho <= RHO_TIE_REL * top]
+        argmax_g6, max_rho, argmax = min(tied, key=lambda t: t[0])
     reference = rho_hnb(n, bounds.b) if 2 <= bounds.b <= n - 1 else None
     return MineReport(
         a=bounds.a,
@@ -234,11 +251,11 @@ def mine_extremal(
         n=n,
         mode=mode,
         cases_run=len(glist),
-        failing_count=failing,
+        failing_count=len(failing),
         max_rho_failing=max_rho,
-        argmax_graph=argmax.decode("ascii") if argmax is not None else None,
+        argmax_graph=argmax_g6,
         rho_hnb_reference=reference,
-        hnb_is_argmax=argmax is not None and is_hnb(parse_graph6(argmax), bounds.b),
+        hnb_is_argmax=argmax is not None and is_hnb(argmax, bounds.b),
         elapsed=time.perf_counter() - t0,
     )
 
@@ -277,11 +294,11 @@ def equivalence_suite(
                 if d != o:
                     mismatches.append(SuiteMismatch(to_graph6(g).decode("ascii"), a, b, d, o))
     else:
-        cases = [(to_graph6(g), a, b, mode) for g in kept for a, b in grid]
-        for g6, a, b, d, o in _sweep(_suite_case, cases, workers):
+        cases = [(g, a, b, mode) for g in kept for a, b in grid]
+        for (g, a, b, _), (d, o) in zip(cases, _sweep(_suite_case, cases, workers)):
             cases_run += 1
             if d != o:
-                mismatches.append(SuiteMismatch(g6.decode("ascii"), a, b, d, o))
+                mismatches.append(SuiteMismatch(to_graph6(g).decode("ascii"), a, b, d, o))
     return SuiteReport(
         suite=f"{mode}-equivalence",
         cases_run=cases_run,

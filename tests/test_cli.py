@@ -88,6 +88,26 @@ class TestRho:
         code, _, err = run(capsys, "rho", "--hnb", "5,5")
         assert code == 2
 
+    def test_uncertifiable_tol_is_internal_error(self, capsys):
+        code, out, err = run(capsys, "rho", "--g6", "Ch", "--tol", "1e-300")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error: ConvergenceError")
+        assert "Traceback" not in err
+
+
+class TestInternalErrors:
+    def test_unexpected_exception_exits_3(self, capsys, monkeypatch):
+        from factorspec import cli
+
+        def broken(*args, **kwargs):
+            raise KeyError("injected")
+
+        monkeypatch.setattr(cli, "has_all_ab_factors", broken)
+        code, out, err = run(capsys, "check", "--g6", "Bw", "--a", "1", "--b", "2")
+        assert code == 3
+        assert out == "" and err.startswith("internal error: KeyError")
+
 
 class TestConstruct:
     def test_hnb_round_trip(self, capsys):

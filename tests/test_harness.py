@@ -2,9 +2,11 @@
 
 import io
 import json
+import os
 
 import pytest
 
+from factorspec import harness
 from factorspec import (
     DegreeBounds,
     Graph6Error,
@@ -110,6 +112,38 @@ class TestMineExtremal:
         with pytest.raises(ValueError):
             mine_extremal([complete(4)], DegreeBounds(1, 2), "approximate")
 
+    def test_cospectral_tie_independent_of_order(self):
+        # both have rho = 2 and fail fractional [1,2]; their floats need not agree
+        first, second = parse_graph6("E?ow"), parse_graph6("EEh_")
+        weaker = parse_graph6("ECp_")  # the path P6: fails too, with rho < 2
+        reports = [
+            mine_extremal(order, DegreeBounds(1, 2), "fractional", workers=1)
+            for order in ([first, second, weaker], [weaker, second, first])
+        ]
+        assert [r.failing_count for r in reports] == [3, 3]
+        assert [r.argmax_graph for r in reports] == ["E?ow", "E?ow"]
+        assert report_json(reports[0]) == report_json(reports[1])
+        assert abs(reports[0].max_rho_failing - 2.0) < 1e-9
+
+    def test_no_graph6_round_trip(self, monkeypatch):
+        calls = {"parse": 0, "encode": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(harness, "parse_graph6", counted("parse", harness.parse_graph6))
+        monkeypatch.setattr(harness, "to_graph6", counted("encode", harness.to_graph6))
+        graphs = connected_graphs(6)
+        report = mine_extremal(graphs, DegreeBounds(1, 2), "fractional", workers=1)
+        assert report.failing_count > 0
+        assert calls == {"parse": 0, "encode": 1}  # only the single maximizer
+        calls["encode"] = 0
+        suite = equivalence_suite(graphs, [(1, 2)], "fractional", nmax=6, workers=1)
+        assert suite.passed and calls == {"parse": 0, "encode": 0}
+
     def test_worker_count_does_not_change_report(self):
         graphs = connected_graphs(5)
         one = mine_extremal(graphs, DegreeBounds(1, 2), "integer", workers=1)
@@ -157,6 +191,18 @@ class TestEquivalenceSuite:
         from factorspec import has_all_ab_factors
 
         for mism in report.mismatches:
+            g = parse_graph6(mism.graph6)
+            assert not has_all_ab_factors(g, DegreeBounds(mism.a, mism.b)).verdict
+
+    def test_sweep_path_mismatch_names_its_graph(self, monkeypatch):
+        from factorspec import has_all_ab_factors
+
+        monkeypatch.setattr(harness, "_decide", lambda g, a, b, mode, cap: True)
+        report = equivalence_suite(connected_graphs(4), [(1, 2), (2, 3)], "integer",
+                                   nmax=4, workers=1)
+        assert report.mismatches
+        for mism in report.mismatches:
+            assert mism.decider and not mism.oracle
             g = parse_graph6(mism.graph6)
             assert not has_all_ab_factors(g, DegreeBounds(mism.a, mism.b)).verdict
 
@@ -211,11 +257,102 @@ class TestJsonReports:
         assert report_json(report) == report_json(report)
 
 
+def pin_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+class FakeContext:
+    """Stands in for a multiprocessing context; no process ever starts."""
+
+    def __init__(self, create_error=None, map_error=None):
+        self.create_error = create_error
+        self.map_error = map_error
+        self.sizes = []
+
+    def Pool(self, size):
+        self.sizes.append(size)
+        if self.create_error is not None:
+            raise self.create_error
+        return FakePool(self.map_error)
+
+
+class FakePool:
+    def __init__(self, map_error):
+        self.map_error = map_error
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, cases, chunksize=1):
+        if self.map_error is not None:
+            raise self.map_error
+        return [fn(case) for case in cases]
+
+
 class TestWorkerCount:
     def test_env_override(self, monkeypatch):
+        pin_cpus(monkeypatch, 8)
         monkeypatch.setenv("FACTORSPEC_WORKERS", "3")
         assert worker_count() == 3
         monkeypatch.setenv("FACTORSPEC_WORKERS", "0")
         assert worker_count() == 1
         monkeypatch.delenv("FACTORSPEC_WORKERS")
         assert worker_count() >= 1
+
+    def test_env_clamped_to_affinity(self, monkeypatch):
+        pin_cpus(monkeypatch, 3)
+        monkeypatch.setenv("FACTORSPEC_WORKERS", "100000")
+        assert worker_count() == 3
+        monkeypatch.delenv("FACTORSPEC_WORKERS")
+        assert worker_count() == 3
+
+    def test_cpu_count_fallback(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        monkeypatch.setenv("FACTORSPEC_WORKERS", "64")
+        assert worker_count() == 5
+
+
+class TestSweepPool:
+    def test_pool_size_clamped(self, monkeypatch):
+        pin_cpus(monkeypatch, 2)
+        ctx = FakeContext()
+        monkeypatch.setattr(harness.multiprocessing, "get_context", lambda: ctx)
+        assert harness._sweep(abs, [-1, -2, -3, -4], 100000) == [1, 2, 3, 4]
+        monkeypatch.setenv("FACTORSPEC_WORKERS", "100000")
+        assert harness._sweep(abs, [-1, -2, -3, -4], None) == [1, 2, 3, 4]
+        assert ctx.sizes == [2, 2]
+
+    def test_pool_creation_failure_falls_back_to_serial(self, monkeypatch):
+        pin_cpus(monkeypatch, 4)
+        ctx = FakeContext(create_error=PermissionError("no /dev/shm"))
+        monkeypatch.setattr(harness.multiprocessing, "get_context", lambda: ctx)
+        assert harness._sweep(abs, [-1, -2, -3, -4], 4) == [1, 2, 3, 4]
+        assert ctx.sizes == [4]
+
+    def test_task_oserror_propagates(self, monkeypatch):
+        pin_cpus(monkeypatch, 4)
+        ctx = FakeContext()
+        monkeypatch.setattr(harness.multiprocessing, "get_context", lambda: ctx)
+        seen = []
+
+        def task(case):
+            seen.append(case)
+            if case == 3:
+                raise OSError("task failed")
+            return case
+
+        with pytest.raises(OSError, match="task failed"):
+            harness._sweep(task, [1, 2, 3, 4], 4)
+        assert ctx.sizes == [4]
+        assert seen == [1, 2, 3]  # no serial re-run of the sweep
+
+    def test_pool_map_oserror_propagates(self, monkeypatch):
+        pin_cpus(monkeypatch, 4)
+        ctx = FakeContext(map_error=OSError("worker died"))
+        monkeypatch.setattr(harness.multiprocessing, "get_context", lambda: ctx)
+        with pytest.raises(OSError, match="worker died"):
+            harness._sweep(abs, [-1, -2, -3, -4], 4)

@@ -1,7 +1,8 @@
 """Spectral radius, Hong bound, quotient matrices, exact leading roots.
 
-The independent oracle throughout is numpy's full symmetric eigensolver,
-which shares no code path with the package's power iteration.
+numpy's symmetric eigensolver serves as a reference, but the package's direct
+route calls the same LAPACK routine, so a pure-Python Collatz-Wielandt
+bracket checks the small components independently of it.
 """
 
 import random
@@ -22,6 +23,7 @@ from factorspec import (
     quotient_matrix,
     spectral_radius,
 )
+from factorspec import spectral
 from factorspec.extremal import build_g1, build_hnb, g1_join_size, g1_partition, hnb_partition
 from catalogs import connected_graphs
 
@@ -32,6 +34,26 @@ def eigvalsh_rho(g) -> float:
     for u, v in g.edges():
         a[u, v] = a[v, u] = 1.0
     return float(np.linalg.eigvalsh(a)[-1]) if g.n else 0.0
+
+
+def collatz_wielandt_bracket(g, width=1e-12, cap=100_000):
+    """(lo, hi) with lo <= rho <= hi for a connected graph, in pure Python.
+
+    Shifted power steps x <- (A + I) x from the all-ones vector keep x
+    positive; for any positive x, min (Ax)_i / x_i <= rho <= max (Ax)_i / x_i.
+    """
+    nbrs = [list(g.neighbors(v)) for v in range(g.n)]
+    x = [1.0] * g.n
+    lo, hi = 0.0, float("inf")
+    for _ in range(cap):
+        ax = [sum(x[u] for u in nb) for nb in nbrs]
+        ratios = [axi / xi for axi, xi in zip(ax, x)]
+        lo, hi = min(ratios), max(ratios)
+        if hi - lo < width:
+            break
+        top = max(axi + xi for axi, xi in zip(ax, x))
+        x = [(axi + xi) / top for axi, xi in zip(ax, x)]
+    return lo, hi
 
 
 def path_graph(n):
@@ -47,7 +69,7 @@ class TestSpectralRadius:
         res = spectral_radius(complete(4))
         assert abs(res.rho - 3.0) < 1e-10
         assert res.residual <= 1e-10
-        assert res.method == "dense-iteration"
+        assert res.method == "dense-eigh"
 
     def test_cycle(self):
         assert abs(spectral_radius(cycle_graph(5)).rho - 2.0) < 1e-10
@@ -120,6 +142,50 @@ class TestSpectralRadius:
     def test_hnb_exceeds_complete_minor(self):
         for n, b in [(8, 3), (12, 5), (20, 2)]:
             assert spectral_radius(build_hnb(n, b)).rho > n - 2
+
+    def test_collatz_wielandt_bracket_on_catalogs(self):
+        # no LAPACK on the reference side: every connected graph of order <= 7
+        for n in range(1, 8):
+            for g in connected_graphs(n):
+                lo, hi = collatz_wielandt_bracket(g)
+                assert hi - lo < 1e-6
+                assert lo - 1e-9 <= spectral_radius(g).rho <= hi + 1e-9
+
+    def test_route_by_component_order(self):
+        big = spectral.DIRECT_MAX_ORDER + 1
+        res = spectral_radius(path_graph(big))
+        assert res.method == "dense-iteration" and res.iterations > 0
+        small = spectral_radius(path_graph(spectral.DIRECT_MAX_ORDER))
+        assert small.method == "dense-eigh" and small.iterations == 0
+        # K_10 attains rho on the direct route; the long path still iterates
+        res = spectral_radius(disjoint_union(path_graph(big), complete(10)))
+        assert abs(res.rho - 9.0) < 1e-10
+        assert res.method == "dense-eigh" and res.iterations > 0
+
+    def test_large_route_matches_per_entry_matrix_bitwise(self):
+        # the bitmask-unpacked matrix feeds the iteration the same entries
+        rng = random.Random(14)
+        n = 90
+        g = from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                               if rng.random() < 0.3])
+        g = disjoint_union(complete(3), g)
+        comps = spectral.component_masks(g.rows, g.n, 0)
+        assert [c.bit_count() for c in comps] == [3, n]
+        verts = list(spectral.iter_bits(comps[1]))
+        a = np.zeros((n, n))
+        for i, v in enumerate(verts):
+            for j, u in enumerate(verts):
+                a[i, j] = float(g.has_edge(v, u))
+        rho = spectral._power_iteration(a, 1e-10, 100 * n + 1000)[0]
+        assert spectral_radius(g).rho == rho
+
+    def test_direct_route_uncertifiable_tol_raises(self):
+        g = path_graph(4)
+        with pytest.raises(ConvergenceError) as info:
+            spectral_radius(g, tol=1e-300)
+        best = info.value.best
+        assert best.method == "dense-eigh" and best.iterations == 0
+        assert abs(best.rho - eigvalsh_rho(g)) < 1e-12
 
     def test_nonconvergence_carries_best_estimate(self):
         # a long path with tol below the attainable floor must hit the cap
