@@ -64,7 +64,6 @@ from .oracle import (
     enumerate_admissible,
     has_h_factor,
     perfect_matching,
-    perfect_matching_bruteforce,
     tutte_gadget,
 )
 from .spectral import (

@@ -2,8 +2,9 @@
 constructions, verification sweeps, mining, and equivalence suites.
 
 Exit codes: 0 when the queried property holds (or the suite passed), 1 when
-it fails (or a mismatch was found), 2 on usage or input errors, 3 on an
-internal error (for example a spectral radius that could not be certified).
+it fails (or a mismatch was found), 2 on usage or input errors (a sweep that
+ran zero cases among them), 3 on an internal error (for example a spectral
+radius that could not be certified).
 """
 
 from __future__ import annotations
@@ -86,15 +87,13 @@ def _emit(args, payload: dict, human_lines: list[str]) -> None:
 
 
 def _report_lines(report: ConditionReport) -> list[str]:
-    lines = [
+    return [
         f"verdict: {str(report.verdict).lower()}",
         f"min_value: {report.min_value}",
         f"witness_S: {sorted(report.witness_s)}",
+        f"witness_T: {sorted(report.witness_t)}",
+        f"pairs_examined: {report.pairs_examined}",
     ]
-    if report.witness_t is not None:
-        lines.append(f"witness_T: {sorted(report.witness_t)}")
-    lines.append(f"pairs_examined: {report.pairs_examined}")
-    return lines
 
 
 def _condition_payload(report: ConditionReport) -> dict:
@@ -102,7 +101,7 @@ def _condition_payload(report: ConditionReport) -> dict:
         "verdict": report.verdict,
         "min_value": report.min_value,
         "witness_S": sorted(report.witness_s),
-        "witness_T": sorted(report.witness_t) if report.witness_t is not None else None,
+        "witness_T": sorted(report.witness_t),
         "pairs_examined": report.pairs_examined,
     }
 

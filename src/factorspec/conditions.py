@@ -1,25 +1,38 @@
 """Exact deciders for factor-existence characterizations.
 
-Every decider exhaustively enumerates the vertex subsets its characterization
-quantifies over, returns the global minimum of the deficiency functional, and
-reports a lexicographically-least minimizing witness, so failing verdicts are
-reproducible by re-evaluating the functional at the witness.
+Every decider minimizes a deficiency functional over all the vertex subsets its
+characterization quantifies over and reports the minimum with a minimizing
+witness.  Two functionals cover the six deciders:
 
-Enumeration is exact and refuses inputs over the configured cap rather than
-sampling; the (S, T) double loops cost about 3^n and the single-subset loops
-2^n.
+- over disjoint pairs (D, S): lo(D) - hi(S) + sum_{x in S} d_{G-D}(x) - q,
+  with (lo, hi, q) = (f, g, q_hat) for ``has_gf_factor`` and (g, f, q_star)
+  for ``has_all_gf_factors``;
+- over subsets S: x(S) - y(T) + sum_{v in T} d_{G-S}(v) with
+  T = {v not in S : d_{G-S}(v) < y(v)}, and (x, y) = (f, g) for
+  ``anstee_fractional_gf`` and (g, f) for ``lu_all_fractional_gf``.
+
+The [a, b] deciders are the (g, f) ones with g = a < b = f, where q_star is
+the number of components.  The pair loop takes D by ascending size, then
+lexicographically, and S over the subsets of V - D in descending numeric
+order.  It skips a pair whose lower bound lo(D) - hi(S) - |V - D - S| exceeds
+the least value so far, so ``pairs_examined`` depends on this order; pairs at
+that value are still evaluated, so the minimum and the witness do not.  The
+subset loop takes all 2^n subsets in numeric order.  Ties go to the least
+(sorted first set, sorted second set) pair of tuples.  Enumeration is exact:
+inputs over the cap are refused, not sampled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Sequence
 
 from .graph import Graph, component_masks, iter_bits, mask_of, set_of
 
 PAIR_ENUM_CAP = 16
 SUBSET_ENUM_CAP = 22
+PAIR_TABLE_BITS = 12  # the pair loop tabulates the part of S below this vertex
 
 
 class CapExceededError(RuntimeError):
@@ -68,86 +81,85 @@ class ConditionReport:
     """Verdict plus the functional's global minimum and a minimizing witness.
 
     ``witness_s``/``witness_t`` are the characterization's first and second
-    set (D and S for the (g, f) deciders; S and the derived T for the
-    single-subset deciders).
+    set (D and S for the pair functional; S and the derived T for the subset
+    functional).
     """
 
     verdict: bool
     min_value: int
     witness_s: frozenset[int]
-    witness_t: Optional[frozenset[int]]
+    witness_t: frozenset[int]
     pairs_examined: int
 
 
-# -- functional evaluation on bitmasks ---------------------------------------
+# -- the two functionals ---------------------------------------------------------
 
 
-def _deg_sum_excluding(g: Graph, over: int, excluded: int) -> int:
-    """Sum of d_{G-excluded}(x) over the vertices of ``over``."""
-    keep = ~excluded
-    return sum((g.rows[x] & keep).bit_count() for x in iter_bits(over))
+def _count_q(
+    g: Graph, avoid: int, second: int, weights: Sequence[int], strict: int, count_strict: bool
+) -> int:
+    """q over the components C of G - avoid: one meeting ``strict`` (the vertices
+    with g(v) < f(v)) counts exactly when ``count_strict``, any other when
+    weights(C) + e(C, second) is odd (g = f there, so weights may be either)."""
+    rows = g.rows
+    q = 0
+    for comp in component_masks(rows, g.n, avoid):
+        if comp & strict:
+            q += count_strict
+        else:
+            parity = 0
+            for v in iter_bits(comp):
+                parity += weights[v] + (rows[v] & second).bit_count()
+            q += parity & 1
+    return q
 
 
-def _delta_masks(g: Graph, a: int, b: int, smask: int, tmask: int) -> int:
-    q = len(component_masks(g.rows, g.n, smask | tmask))
-    return (
-        a * smask.bit_count()
-        - b * tmask.bit_count()
-        + _deg_sum_excluding(g, tmask, smask)
-        - q
-    )
+def _subset_terms(g: Graph, x: tuple[int, ...], y: tuple[int, ...]) -> list[tuple]:
+    """(row, x(v), y(v), bit of v) for every vertex v: the subset functional's inputs."""
+    return list(zip(g.rows, x, y, (1 << v for v in range(g.n))))
+
+
+def _subset_value(terms: list[tuple], smask: int) -> tuple[int, int]:
+    """The subset functional at S, with the derived T as a bitmask."""
+    keep = ~smask
+    value = 0
+    tmask = 0
+    for row, xv, yv, bit in terms:
+        if smask & bit:
+            value += xv
+        else:
+            d = (row & keep).bit_count()
+            if d < yv:
+                value += d - yv
+                tmask |= bit
+    return value, tmask
+
+
+def _strict_mask(funcs: DegreeFunctions) -> int:
+    """The vertices with g(v) < f(v), as a bitmask."""
+    return sum(1 << v for v, (gv, fv) in enumerate(zip(funcs.g, funcs.f)) if gv < fv)
 
 
 def delta(g: Graph, bounds: DegreeBounds, s: Iterable[int], t: Iterable[int]) -> int:
-    """Deficiency a|S| - b|T| + sum_{x in T} d_{G-S}(x) - q(S, T)."""
+    """Deficiency a|S| - b|T| + sum_{x in T} d_{G-S}(x) - q(S, T), where
+    q(S, T) is the number of components of G - (S u T)."""
     smask = mask_of(s, g.n)
     tmask = mask_of(t, g.n)
     if smask & tmask:
         raise ValueError("S and T must be disjoint")
-    return _delta_masks(g, bounds.a, bounds.b, smask, tmask)
-
-
-def _theta_masks(g: Graph, a: int, b: int, smask: int) -> tuple[int, int]:
     keep = ~smask
-    tmask = 0
-    dsum = 0
-    for v in range(g.n):
-        if (smask >> v) & 1:
-            continue
-        d = (g.rows[v] & keep).bit_count()
-        if d < b:
-            tmask |= 1 << v
-            dsum += d
-    value = a * smask.bit_count() - b * tmask.bit_count() + dsum
-    return value, tmask
+    return (
+        bounds.a * smask.bit_count()
+        - sum(bounds.b - (g.rows[x] & keep).bit_count() for x in iter_bits(tmask))
+        - _count_q(g, smask | tmask, tmask, (), (1 << g.n) - 1, True)  # counts every component
+    )
 
 
 def theta(g: Graph, bounds: DegreeBounds, s: Iterable[int]) -> tuple[int, frozenset[int]]:
     """a|S| - b|T| + sum_{x in T} d_{G-S}(x) with T = {v not in S : d_{G-S}(v) < b}."""
-    value, tmask = _theta_masks(g, bounds.a, bounds.b, mask_of(s, g.n))
+    n = g.n
+    value, tmask = _subset_value(_subset_terms(g, (bounds.a,) * n, (bounds.b,) * n), mask_of(s, n))
     return value, set_of(tmask)
-
-
-def _classify_masks(
-    g: Graph, dmask: int, smask: int, gfun: tuple[int, ...], ffun: tuple[int, ...]
-) -> tuple[int, int]:
-    q_hat = 0
-    q_star = 0
-    for comp in component_masks(g.rows, g.n, dmask | smask):
-        f_total = 0
-        edges_to_s = 0
-        strict_somewhere = False
-        for v in iter_bits(comp):
-            f_total += ffun[v]
-            edges_to_s += (g.rows[v] & smask).bit_count()
-            if gfun[v] < ffun[v]:
-                strict_somewhere = True
-        odd = (edges_to_s + f_total) % 2 == 1
-        if odd and not strict_somewhere:
-            q_hat += 1
-        if odd or strict_somewhere:
-            q_star += 1
-    return q_hat, q_star
 
 
 def classify_components(
@@ -163,141 +175,114 @@ def classify_components(
     smask = mask_of(s, g.n)
     if dmask & smask:
         raise ValueError("D and S must be disjoint")
-    _check_funcs(g, funcs)
-    return _classify_masks(g, dmask, smask, funcs.g, funcs.f)
+    _check_length(g, funcs.g)
+    strict, avoid = _strict_mask(funcs), dmask | smask
+    return tuple(_count_q(g, avoid, smask, funcs.f, strict, counts) for counts in (False, True))
 
 
-# -- exhaustive enumeration driver -------------------------------------------
+# -- exhaustive minimization -------------------------------------------------------
 
 
-def _check_funcs(g: Graph, funcs: DegreeFunctions) -> None:
-    if len(funcs.g) != g.n:
-        raise ValueError(f"degree functions cover {len(funcs.g)} vertices, graph has {g.n}")
+def _check_length(g: Graph, prescribed: Sequence[int]) -> None:
+    if len(prescribed) != g.n:
+        raise ValueError(f"degree functions cover {len(prescribed)} vertices, graph has {g.n}")
 
 
-def _witness_key(smask: int, tmask: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return tuple(iter_bits(smask)), tuple(iter_bits(tmask))
-
-
-def _minimize_over_pairs(
-    g: Graph,
-    value: Callable[[int, int], int],
-    cheap_bound: Callable[[int, int], int],
-    threshold: int,
-    cap: int,
-) -> ConditionReport:
-    """Minimize a pair functional over all disjoint (first, second) subsets.
-
-    The first set runs over subsets in ascending popcount, the second over
-    subsets of the complement.  ``cheap_bound`` must lower-bound ``value``;
-    pairs whose bound exceeds the current minimum are skipped, which cannot
-    affect the global minimum or the lexicographically-least witness.
-    """
+def _guard(g: Graph, prescribed: Sequence[int], cap: int, loop: str) -> None:
+    _check_length(g, prescribed)
     if g.n == 0:
         raise ValueError("deciders reject the empty graph")
     if g.n > cap:
         raise CapExceededError(
             f"n={g.n} exceeds the exhaustive enumeration cap {cap}; "
-            "raise the cap explicitly to force the 3^n loop"
+            f"raise the cap explicitly to force the {loop} loop"
         )
-    best = None  # (value, witness key, smask, tmask)
+
+
+def _least(best: tuple[int, int, int], value: int, smask: int, tmask: int) -> tuple[int, int, int]:
+    """The better of ``best`` and a candidate whose value is at most best's:
+    the lower value, and on a tie the least pair of sorted tuples."""
+    if value < best[0] or (
+        (tuple(iter_bits(smask)), tuple(iter_bits(tmask)))
+        < (tuple(iter_bits(best[1])), tuple(iter_bits(best[2])))
+    ):
+        return value, smask, tmask
+    return best
+
+
+def _report(best: tuple[int, int, int], threshold: int, examined: int) -> ConditionReport:
+    value, smask, tmask = best
+    return ConditionReport(value >= threshold, value, set_of(smask), set_of(tmask), examined)
+
+
+def _minimize_pairs(
+    g: Graph, lo: tuple[int, ...], hi: tuple[int, ...], strict: int, count_strict: bool,
+    threshold: int, cap: int,
+) -> ConditionReport:
+    """Minimize the pair functional in the loop order of the module docstring.
+    S = high | low runs the high part over submasks of V - D at or above vertex
+    PAIR_TABLE_BITS and the low part over tables, so memory is 2^PAIR_TABLE_BITS."""
+    _guard(g, lo, cap, "3^n")
+    n, rows = g.n, g.rows
+    full = (1 << n) - 1
+    low_mask = (1 << min(n, PAIR_TABLE_BITS)) - 1
+    hi_minus = [0]  # hi(S) - |S| for every S within low_mask
+    for v in range(low_mask.bit_length()):
+        hi_minus += [h + hi[v] - 1 for h in hi_minus]
+    best = (sum(lo) + n * n, 0, 0)  # a value above every value of the functional
     examined = 0
-    for k in range(g.n + 1):
-        for combo in combinations(range(g.n), k):
-            smask = 0
-            for v in combo:
-                smask |= 1 << v
-            comp = ((1 << g.n) - 1) & ~smask
-            tmask = comp
+    for k in range(n + 1):
+        for combo in combinations(range(n), k):
+            dmask = sum(1 << v for v in combo)
+            lo_d = sum(lo[v] for v in combo)
+            comp = full & ~dmask
+            # the low parts in ascending order, each with sum_{x in S} d_{G-D}(x) - |S|
+            low = comp & low_mask
+            lows, deg_lows = [0], [0]
+            for v in iter_bits(low):
+                bit, d = 1 << v, (rows[v] & comp).bit_count() - 1
+                lows += [m | bit for m in lows]
+                deg_lows += [x + d for x in deg_lows]
+            high = sh = comp ^ low
             while True:
-                if best is None or cheap_bound(smask, tmask) <= best[0]:
-                    val = value(smask, tmask)
-                    examined += 1
-                    if best is None or val < best[0]:
-                        best = (val, _witness_key(smask, tmask), smask, tmask)
-                    elif val == best[0]:
-                        key = _witness_key(smask, tmask)
-                        if key < best[1]:
-                            best = (val, key, smask, tmask)
-                if tmask == 0:
+                lo_h = lo_d - sum(hi[v] - 1 for v in iter_bits(sh))
+                deg_h = sum((rows[v] & comp).bit_count() - 1 for v in iter_bits(sh))
+                for sl, dl in zip(reversed(lows), reversed(deg_lows)):
+                    base = lo_h - hi_minus[sl]  # lo(D) - hi(S) + |S|
+                    if base - (n - k) <= best[0]:
+                        smask = sh | sl
+                        examined += 1
+                        value = (base + deg_h + dl
+                                 - _count_q(g, dmask | smask, smask, lo, strict, count_strict))
+                        if value <= best[0]:
+                            best = _least(best, value, dmask, smask)
+                if not sh:
                     break
-                tmask = (tmask - 1) & comp
-    assert best is not None
-    return ConditionReport(
-        verdict=best[0] >= threshold,
-        min_value=best[0],
-        witness_s=set_of(best[2]),
-        witness_t=set_of(best[3]),
-        pairs_examined=examined,
-    )
+                sh = (sh - 1) & high
+    return _report(best, threshold, examined)
 
 
-def _minimize_over_subsets(
-    g: Graph,
-    evaluate: Callable[[int], tuple[int, int]],
-    threshold: int,
-    cap: int,
+def _minimize_subsets(
+    g: Graph, x: tuple[int, ...], y: tuple[int, ...], cap: int
 ) -> ConditionReport:
-    """Minimize a subset functional; ``evaluate`` maps S to (value, derived T)."""
-    if g.n == 0:
-        raise ValueError("deciders reject the empty graph")
-    if g.n > cap:
-        raise CapExceededError(
-            f"n={g.n} exceeds the exhaustive enumeration cap {cap}; "
-            "raise the cap explicitly to force the 2^n loop"
-        )
-    best = None
-    examined = 0
-    for k in range(g.n + 1):
-        for combo in combinations(range(g.n), k):
-            smask = 0
-            for v in combo:
-                smask |= 1 << v
-            val, tmask = evaluate(smask)
-            examined += 1
-            if best is None or val < best[0]:
-                best = (val, _witness_key(smask, tmask), smask, tmask)
-            elif val == best[0]:
-                key = _witness_key(smask, tmask)
-                if key < best[1]:
-                    best = (val, key, smask, tmask)
-    assert best is not None
-    return ConditionReport(
-        verdict=best[0] >= threshold,
-        min_value=best[0],
-        witness_s=set_of(best[2]),
-        witness_t=set_of(best[3]),
-        pairs_examined=examined,
-    )
+    """Minimize the subset functional over every S; the verdict is value >= 0."""
+    _guard(g, x, cap, "2^n")
+    terms = _subset_terms(g, x, y)
+    best = (sum(x) + 1, 0, 0)  # a value above every value of the functional
+    for smask in range(1 << g.n):
+        value, tmask = _subset_value(terms, smask)
+        if value <= best[0]:
+            best = _least(best, value, smask, tmask)
+    return _report(best, 0, 1 << g.n)
 
 
-# -- the five deciders --------------------------------------------------------
+# -- the six deciders ---------------------------------------------------------------
 
 
 def has_gf_factor(g: Graph, funcs: DegreeFunctions, cap: int = PAIR_ENUM_CAP) -> ConditionReport:
     """(g, f)-factor existence: f(D) - g(S) + sum_{x in S} d_{G-D}(x) - q_hat >= 0
     over all disjoint D, S (witness slots hold D and S)."""
-    _check_funcs(g, funcs)
-    gfun, ffun = funcs.g, funcs.f
-
-    def value(dmask: int, smask: int) -> int:
-        q_hat, _ = _classify_masks(g, dmask, smask, gfun, ffun)
-        return (
-            sum(ffun[v] for v in iter_bits(dmask))
-            - sum(gfun[v] for v in iter_bits(smask))
-            + _deg_sum_excluding(g, smask, dmask)
-            - q_hat
-        )
-
-    def cheap(dmask: int, smask: int) -> int:
-        rest = g.n - dmask.bit_count() - smask.bit_count()
-        return (
-            sum(ffun[v] for v in iter_bits(dmask))
-            - sum(gfun[v] for v in iter_bits(smask))
-            - rest
-        )
-
-    return _minimize_over_pairs(g, value, cheap, threshold=0, cap=cap)
+    return _minimize_pairs(g, funcs.f, funcs.g, _strict_mask(funcs), False, 0, cap)
 
 
 def has_all_gf_factors(g: Graph, funcs: DegreeFunctions, cap: int = PAIR_ENUM_CAP) -> ConditionReport:
@@ -308,44 +293,15 @@ def has_all_gf_factors(g: Graph, funcs: DegreeFunctions, cap: int = PAIR_ENUM_CA
     admits no even-total demand at all (g = f with odd total), rather than
     the vacuous truth of the empty quantifier.
     """
-    _check_funcs(g, funcs)
-    gfun, ffun = funcs.g, funcs.f
     threshold = 0 if funcs.pointwise_equal else -1
-
-    def value(dmask: int, smask: int) -> int:
-        _, q_star = _classify_masks(g, dmask, smask, gfun, ffun)
-        return (
-            sum(gfun[v] for v in iter_bits(dmask))
-            - sum(ffun[v] for v in iter_bits(smask))
-            + _deg_sum_excluding(g, smask, dmask)
-            - q_star
-        )
-
-    def cheap(dmask: int, smask: int) -> int:
-        rest = g.n - dmask.bit_count() - smask.bit_count()
-        return (
-            sum(gfun[v] for v in iter_bits(dmask))
-            - sum(ffun[v] for v in iter_bits(smask))
-            - rest
-        )
-
-    return _minimize_over_pairs(g, value, cheap, threshold=threshold, cap=cap)
+    return _minimize_pairs(g, funcs.g, funcs.f, _strict_mask(funcs), True, threshold, cap)
 
 
 def has_all_ab_factors(g: Graph, bounds: DegreeBounds, cap: int = PAIR_ENUM_CAP) -> ConditionReport:
     """All-[a, b]-factors (a < b): delta(S, T) >= -1 over all disjoint S, T."""
     if bounds.a >= bounds.b:
         raise ValueError("the all-[a,b]-factors characterization requires a < b")
-    a, b = bounds.a, bounds.b
-
-    def value(smask: int, tmask: int) -> int:
-        return _delta_masks(g, a, b, smask, tmask)
-
-    def cheap(smask: int, tmask: int) -> int:
-        rest = g.n - smask.bit_count() - tmask.bit_count()
-        return a * smask.bit_count() - b * tmask.bit_count() - rest
-
-    return _minimize_over_pairs(g, value, cheap, threshold=-1, cap=cap)
+    return has_all_gf_factors(g, DegreeFunctions.constant(g.n, bounds.a, bounds.b), cap)
 
 
 def anstee_fractional_gf(
@@ -353,23 +309,7 @@ def anstee_fractional_gf(
 ) -> ConditionReport:
     """Fractional (g, f)-factor existence: f(S) - g(T) + sum_{v in T} d_{G-S}(v) >= 0
     for every S, with T = {v not in S : d_{G-S}(v) < g(v)}."""
-    _check_funcs(g, funcs)
-    gfun, ffun = funcs.g, funcs.f
-
-    def evaluate(smask: int) -> tuple[int, int]:
-        keep = ~smask
-        tmask = 0
-        acc = sum(ffun[v] for v in iter_bits(smask))
-        for v in range(g.n):
-            if (smask >> v) & 1:
-                continue
-            d = (g.rows[v] & keep).bit_count()
-            if d < gfun[v]:
-                tmask |= 1 << v
-                acc += d - gfun[v]
-        return acc, tmask
-
-    return _minimize_over_subsets(g, evaluate, threshold=0, cap=cap)
+    return _minimize_subsets(g, funcs.f, funcs.g, cap)
 
 
 def lu_all_fractional_gf(
@@ -377,23 +317,7 @@ def lu_all_fractional_gf(
 ) -> ConditionReport:
     """All fractional (g, f)-factors: g(S) - f(T) + sum_{x in T} d_{G-S}(x) >= 0
     for every S, with T = {v not in S : d_{G-S}(v) < f(v)}."""
-    _check_funcs(g, funcs)
-    gfun, ffun = funcs.g, funcs.f
-
-    def evaluate(smask: int) -> tuple[int, int]:
-        keep = ~smask
-        tmask = 0
-        acc = sum(gfun[v] for v in iter_bits(smask))
-        for v in range(g.n):
-            if (smask >> v) & 1:
-                continue
-            d = (g.rows[v] & keep).bit_count()
-            if d < ffun[v]:
-                tmask |= 1 << v
-                acc += d - ffun[v]
-        return acc, tmask
-
-    return _minimize_over_subsets(g, evaluate, threshold=0, cap=cap)
+    return _minimize_subsets(g, funcs.g, funcs.f, cap)
 
 
 def has_all_fractional_ab_factors(
@@ -402,9 +326,4 @@ def has_all_fractional_ab_factors(
     """All fractional [a, b]-factors (a < b): theta(S) >= 0 for every S."""
     if bounds.a >= bounds.b:
         raise ValueError("the all-fractional-[a,b]-factors characterization requires a < b")
-    a, b = bounds.a, bounds.b
-
-    def evaluate(smask: int) -> tuple[int, int]:
-        return _theta_masks(g, a, b, smask)
-
-    return _minimize_over_subsets(g, evaluate, threshold=0, cap=cap)
+    return lu_all_fractional_gf(g, DegreeFunctions.constant(g.n, bounds.a, bounds.b), cap)

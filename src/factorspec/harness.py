@@ -125,14 +125,9 @@ def _sweep(fn: Callable, cases: list, workers: Optional[int]) -> list:
 
 
 def _decide(g: Graph, a: int, b: int, mode: str, cap: Optional[int]) -> bool:
-    bounds = DegreeBounds(a, b)
-    if mode == "integer":
-        if cap is None:
-            return has_all_ab_factors(g, bounds).verdict
-        return has_all_ab_factors(g, bounds, cap=cap).verdict
-    if cap is None:
-        return has_all_fractional_ab_factors(g, bounds).verdict
-    return has_all_fractional_ab_factors(g, bounds, cap=cap).verdict
+    decider = has_all_ab_factors if mode == "integer" else has_all_fractional_ab_factors
+    kwargs = {} if cap is None else {"cap": cap}
+    return decider(g, DegreeBounds(a, b), **kwargs).verdict
 
 
 def _mine_case(case: tuple[Graph, int, int, str, Optional[int]]) -> Optional[float]:
@@ -274,6 +269,7 @@ def equivalence_suite(
 
     ``decider``/``oracle`` may be overridden (harness self-tests inject a
     corrupted decider); overrides run serially since they may not pickle.
+    A catalog and grid that leave zero cases raise ValueError.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -299,6 +295,7 @@ def equivalence_suite(
             cases_run += 1
             if d != o:
                 mismatches.append(SuiteMismatch(to_graph6(g).decode("ascii"), a, b, d, o))
+    _require_cases(f"{mode}-equivalence", cases_run)
     return SuiteReport(
         suite=f"{mode}-equivalence",
         cases_run=cases_run,
@@ -308,6 +305,17 @@ def equivalence_suite(
 
 
 # -- verification sweeps (closed-form values and spectral bounds) --------------
+
+
+def _require_cases(name: str, cases: int) -> None:
+    """A sweep that ran no case shows nothing, so it is a usage error, not a pass."""
+    if cases == 0:
+        raise ValueError(f"{name}: the sweep ran zero cases")
+
+
+def _verify_report(name: str, cases: int, failures: list[dict], t0: float) -> VerifyReport:
+    _require_cases(name, cases)
+    return VerifyReport(name, cases, failures, time.perf_counter() - t0)
 
 
 def verify_hnb_witnesses(nmax: int = 40) -> VerifyReport:
@@ -327,7 +335,7 @@ def verify_hnb_witnesses(nmax: int = 40) -> VerifyReport:
                 value = hnb_witness(n, b, "fractional").min_value
                 if value != -1:
                     failures.append({"n": n, "b": b, "mode": "fractional", "value": value})
-    return VerifyReport("hnb-witnesses", cases, failures, time.perf_counter() - t0)
+    return _verify_report("hnb-witnesses", cases, failures, t0)
 
 
 def verify_g1_g2_bounds(amax: int = 5, bmax: int = 5, margin: float = 1e-6) -> VerifyReport:
@@ -357,7 +365,7 @@ def verify_g1_g2_bounds(amax: int = 5, bmax: int = 5, margin: float = 1e-6) -> V
                 fail["rho_g2"] = rho2
             if fail:
                 failures.append({"a": a, "b": b, "n": n, **fail})
-    return VerifyReport("g1-g2-spectral-bounds", cases, failures, time.perf_counter() - t0)
+    return _verify_report("g1-g2-spectral-bounds", cases, failures, t0)
 
 
 def verify_hong(graphs: Iterable[Graph], tol: float = 1e-9) -> VerifyReport:
@@ -373,7 +381,7 @@ def verify_hong(graphs: Iterable[Graph], tol: float = 1e-9) -> VerifyReport:
         bound = hong_bound(g)
         if rho > bound + tol:
             failures.append({"graph6": to_graph6(g).decode("ascii"), "rho": rho, "bound": bound})
-    return VerifyReport("hong-bound", cases, failures, time.perf_counter() - t0)
+    return _verify_report("hong-bound", cases, failures, t0)
 
 
 def verify_quotient_transfer(
@@ -402,7 +410,7 @@ def verify_quotient_transfer(
                 fail["rho_out_of_range"] = via_quotient
             if fail:
                 failures.append({"n": n, "b": b, **fail})
-    return VerifyReport("quotient-transfer", cases, failures, time.perf_counter() - t0)
+    return _verify_report("quotient-transfer", cases, failures, t0)
 
 
 def verify_k1_join_bound(
@@ -418,7 +426,7 @@ def verify_k1_join_bound(
             rho = rho_k1_join_cliques(n, r)
             if not rho < n - 2 - margin:
                 failures.append({"n": n, "r": r, "rho": rho})
-    return VerifyReport("hub-two-cliques-bound", cases, failures, time.perf_counter() - t0)
+    return _verify_report("hub-two-cliques-bound", cases, failures, t0)
 
 
 # -- JSON serialization ---------------------------------------------------------

@@ -1,11 +1,14 @@
-"""Characterization-independent ground truth for factor properties.
+"""Demand-by-demand oracles for the factor properties.
 
 h-factor existence is decided by the classical vertex-gadget reduction to
 perfect matching (general-graph matching via augmenting paths with blossom
-contraction); the "all factors" properties are decided by brute-force
-enumeration of admissible demand functions.  Nothing here shares a formula
-with the condition deciders, which is the whole point: the two routes
-cross-validate each other.
+contraction), and ``all_ab_factors_oracle`` takes the conjunction over every
+admissible demand, so the integer oracle shares no formula with the
+condition deciders.  ``all_fractional_oracle`` is not independent in that
+sense: for each demand p it evaluates Anstee's fractional p-factor
+condition, the formula behind ``anstee_fractional_gf``, so the fractional
+cross-check compares Lu's characterization with Anstee's, not with ground
+truth.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from .conditions import CapExceededError, DegreeBounds
 from .graph import Graph, from_edge_list, iter_bits
 
 DEMAND_BUDGET = 10**6
-BRUTE_FORCE_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -28,30 +30,20 @@ class Matching:
     """Set of pairwise vertex-disjoint edges."""
 
     edges: frozenset[tuple[int, int]]
-    perfect: bool
 
 
 def enumerate_admissible(
-    n: int,
-    bounds: DegreeBounds,
-    parity: bool = True,
-    start: Optional[Sequence[int]] = None,
+    n: int, bounds: DegreeBounds, parity: bool = True
 ) -> Iterator[tuple[int, ...]]:
     """Demand functions h with a <= h(v) <= b, in lexicographic order.
 
     With ``parity`` set, only even-total demands come out (odd totals can
-    never be degree sequences).  ``start`` resumes the stream from a given
-    demand, so long oracle loops can checkpoint.
+    never be degree sequences).
     """
     if n < 1:
         raise ValueError("demand enumeration needs at least one vertex")
     a, b = bounds.a, bounds.b
-    if start is None:
-        cur = [a] * n
-    else:
-        cur = list(start)
-        if len(cur) != n or any(not a <= x <= b for x in cur):
-            raise ValueError(f"start demand {start} is not admissible for n={n}, [{a},{b}]")
+    cur = [a] * n
     while True:
         if not parity or sum(cur) % 2 == 0:
             yield tuple(cur)
@@ -213,39 +205,7 @@ def perfect_matching(g: Graph) -> Optional[Matching]:
     if any(m == -1 for m in match):
         return None
     edges = frozenset((v, match[v]) for v in range(g.n) if v < match[v])
-    return Matching(edges, perfect=2 * len(edges) == g.n)
-
-
-def perfect_matching_bruteforce(g: Graph) -> Optional[Matching]:
-    """Backtracking perfect-matching search; the matching engine's test oracle."""
-    if g.n > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"brute-force matcher is guarded to n <= {BRUTE_FORCE_LIMIT}")
-    if g.n % 2 == 1:
-        return None
-    full = (1 << g.n) - 1
-    memo: dict[int, Optional[tuple[tuple[int, int], ...]]] = {}
-
-    def search(done: int) -> Optional[tuple[tuple[int, int], ...]]:
-        if done == full:
-            return ()
-        if done in memo:
-            return memo[done]
-        free = ~done & full
-        v = (free & -free).bit_length() - 1
-        result = None
-        for u in iter_bits(g.rows[v] & ~done):
-            rest = search(done | (1 << v) | (1 << u))
-            if rest is not None:
-                result = ((v, u),) + rest
-                break
-        memo[done] = result
-        return result
-
-    found = search(0)
-    if found is None:
-        return None
-    edges = frozenset((min(u, v), max(u, v)) for u, v in found)
-    return Matching(edges, perfect=2 * len(edges) == g.n)
+    return Matching(edges)
 
 
 # -- factor existence and the two oracles --------------------------------------
@@ -308,9 +268,11 @@ def _demand_matrix(n: int, a: int, b: int) -> np.ndarray:
 
 
 def all_fractional_oracle(g: Graph, bounds: DegreeBounds, budget: int = DEMAND_BUDGET) -> bool:
-    """Conjunction over every demand p in [a, b]^n (no parity filter) of the
-    fractional p-factor condition f(S) - g(T) + sum_{v in T} d_{G-S}(v) >= 0
-    with g = f = p and T = {v not in S : d_{G-S}(v) < p(v)}.
+    """Conjunction over every demand p in [a, b]^n (no parity filter) of
+    Anstee's fractional p-factor condition f(S) - g(T) + sum_{v in T} d_{G-S}(v) >= 0
+    with g = f = p and T = {v not in S : d_{G-S}(v) < p(v)}.  That is the
+    formula of ``anstee_fractional_gf``, so this oracle is not independent of
+    the deciders.
 
     The p-loop is evaluated in bulk per subset S, which changes nothing about
     the conjunction; S = empty comes first so graphs with a low-degree vertex

@@ -17,7 +17,6 @@ from factorspec import (
     has_all_gf_factors,
     parse_graph6,
     perfect_matching,
-    perfect_matching_bruteforce,
     rho_k1_join_cliques,
     spectral_radius,
     threshold_n,
@@ -31,6 +30,7 @@ from factorspec.harness import (
     verify_k1_join_bound,
     verify_quotient_transfer,
 )
+from bruteforce import perfect_matching_bruteforce
 from catalogs import all_graphs, connected_up_to
 
 

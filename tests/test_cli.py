@@ -146,6 +146,12 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "k1join", "--n-grid", "10")
         assert code == 0
 
+    def test_zero_cases_is_a_usage_error(self, capsys):
+        # b = 50 is out of range for n = 10, so the sweep has nothing to check
+        code, out, err = run(capsys, "verify", "quotient", "--n-grid", "10", "--b-grid", "50")
+        assert code == 2 and out == ""
+        assert "zero cases" in err
+
     def test_hong_needs_input(self, capsys):
         code, _, err = run(capsys, "verify", "hong")
         assert code == 2
@@ -197,6 +203,14 @@ class TestMineAndSuite:
                            "--nmax", "5", "--grid", "1,2", "--workers", "1", "--json")
         data = json.loads(out)
         assert code == 0 and data["mismatches"] == []
+
+    def test_suite_zero_cases_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "k3.g6"
+        path.write_bytes(to_graph6(complete(3)) + b"\n")
+        code, out, err = run(capsys, "suite", "--input", str(path), "--mode", "integer",
+                             "--nmax", "2")
+        assert code == 2 and out == ""
+        assert "zero cases" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "mine", "--input", "/nonexistent.g6", "--a", "1",

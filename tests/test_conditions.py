@@ -1,4 +1,4 @@
-"""The deficiency functionals and the five exhaustive deciders.
+"""The deficiency functionals and the six exhaustive deciders.
 
 Witness soundness is the load-bearing property: every failing report must
 reproduce its minimum when the functional is re-evaluated at the witness
@@ -27,8 +27,10 @@ from factorspec import (
     has_gf_factor,
     has_h_factor,
     lu_all_fractional_gf,
+    parse_graph6,
     theta,
 )
+from factorspec import conditions
 from factorspec.extremal import build_hnb
 from catalogs import all_graphs, connected_graphs
 
@@ -329,24 +331,120 @@ class TestWitnessSoundness:
                 assert tset == report.witness_t
 
     def test_witness_is_lexicographically_least(self):
-        # K_2 u K_2 with (1,2): delta(emptyset, V) = -8 + 4 = ... enumerate by hand
-        g = disjoint_union(k(2), k(2))
-        bounds = DegreeBounds(1, 2)
-        report = has_all_ab_factors(g, bounds)
-        best = None
-        for smask in range(16):
-            for tmask in range(16):
-                if smask & tmask:
-                    continue
-                s = tuple(v for v in range(4) if (smask >> v) & 1)
-                t = tuple(v for v in range(4) if (tmask >> v) & 1)
-                val = delta(g, bounds, s, t)
-                key = (val, s, t)
-                if best is None or key < best:
-                    best = key
-        assert report.min_value == best[0]
-        assert tuple(sorted(report.witness_s)) == best[1]
-        assert tuple(sorted(report.witness_t)) == best[2]
+        # every graph of order <= 5 on the grid, then seeded graphs and (g, f) to n = 8
+        cases = [
+            (g, DegreeBounds(a, b), DegreeFunctions.constant(g.n, a, b))
+            for n in range(1, 6)
+            for g in all_graphs(n)
+            for a, b in [(1, 2), (2, 3)]
+        ]
+        rng = random.Random(73)
+        for n in range(1, 9):
+            for _ in range(3 if n < 7 else 1):
+                edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6]
+                gfun = tuple(rng.randint(1, 3) for _ in range(n))
+                ffun = tuple(x + rng.randint(0, 1) for x in gfun)
+                a = rng.randint(1, 2)
+                cases.append((from_edge_list(n, edges), DegreeBounds(a, a + rng.randint(1, 2)),
+                              DegreeFunctions(gfun, ffun)))
+        for g, bounds, funcs in cases:
+            for report, (threshold, best) in zip(
+                (
+                    has_all_ab_factors(g, bounds),
+                    has_gf_factor(g, funcs),
+                    has_all_gf_factors(g, funcs),
+                    has_all_fractional_ab_factors(g, bounds),
+                    anstee_fractional_gf(g, funcs),
+                    lu_all_fractional_gf(g, funcs),
+                ),
+                brute_force_minima(g, bounds, funcs),
+            ):
+                got = (report.min_value, tuple(sorted(report.witness_s)),
+                       tuple(sorted(report.witness_t)))
+                assert got == best
+                assert report.verdict == (best[0] >= threshold)
+
+
+def brute_force_minima(g, bounds, funcs):
+    """(threshold, least (value, S-tuple, T-tuple)) of the six functionals, in
+    the order ab, gf, all-gf, fractional ab, Anstee, Lu, from the public
+    primitives alone."""
+    n = g.n
+    vertices = range(n)
+    gf, af = funcs.g, funcs.f
+    pairs = [
+        (s, t)
+        for labels in itertools.product((0, 1, 2), repeat=n)
+        for s, t in [(tuple(v for v in vertices if labels[v] == 1),
+                      tuple(v for v in vertices if labels[v] == 2))]
+    ]
+    subsets = [tuple(v for v in vertices if (mask >> v) & 1) for mask in range(1 << n)]
+    ab, single, every = [], [], []
+    for d, s in pairs:
+        ab.append((delta(g, bounds, d, s), d, s))
+        dsum = sum(degrees_excluding(g, d)[x] for x in s)
+        q_hat, q_star = classify_components(g, d, s, funcs)
+        single.append((sum(af[v] for v in d) - sum(gf[v] for v in s) + dsum - q_hat, d, s))
+        every.append((sum(gf[v] for v in d) - sum(af[v] for v in s) + dsum - q_star, d, s))
+    fractional, anstee, lu = [], [], []
+    for s in subsets:
+        value, tset = theta(g, bounds, s)
+        fractional.append((value, s, tuple(sorted(tset))))
+        degs = degrees_excluding(g, s)
+        for out, x, y in ((anstee, af, gf), (lu, gf, af)):
+            t = tuple(v for v in vertices if v in degs and degs[v] < y[v])
+            out.append((sum(x[v] for v in s) - sum(y[v] - degs[v] for v in t), s, t))
+    return [
+        (-1, min(ab)),
+        (0, min(single)),
+        (0 if funcs.pointwise_equal else -1, min(every)),
+        (0, min(fractional)),
+        (0, min(anstee)),
+        (0, min(lu)),
+    ]
+
+
+class TestGoldenReports:
+    """Full reports, pairs_examined included, pinned for fixed inputs; the
+    count depends on the pair loop order and its skip rule."""
+
+    PETERSEN = from_edge_list(
+        10,
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(i, i + 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+    )
+    PETERSEN_FUNCS = DegreeFunctions((1, 1, 2, 2, 3, 3, 1, 2, 3, 1), (1, 2, 2, 3, 3, 3, 2, 2, 3, 2))
+    CIRCULANT_12 = from_edge_list(12, [(i, (i + d) % 12) for i in range(12) for d in (1, 3)])
+
+    @pytest.mark.parametrize(
+        "decide, graph, arg, expected",
+        [
+            (has_all_ab_factors, build_hnb(10, 3), DegreeBounds(2, 3),
+             (False, -2, [], [0], 46386)),
+            (has_all_ab_factors, disjoint_union(complete(2), complete(2)), DegreeBounds(1, 2),
+             (False, -4, [], [0, 1, 2], 32)),
+            (has_gf_factor, PETERSEN, PETERSEN_FUNCS, (False, -1, [0], [4, 5], 35765)),
+            (has_gf_factor, parse_graph6("EQyw"),
+             DegreeFunctions((3, 3, 3, 3, 1, 2), (5, 5, 5, 5, 2, 2)),
+             (False, -4, [4], [0, 1, 2, 3], 252)),
+            (has_all_gf_factors, PETERSEN, PETERSEN_FUNCS,
+             (False, -3, [0, 2, 6], [1, 3, 4, 5], 38272)),
+            (anstee_fractional_gf, PETERSEN, PETERSEN_FUNCS, (False, -1, [0], [4, 5], 1024)),
+            (lu_all_fractional_gf, PETERSEN, PETERSEN_FUNCS,
+             (False, -3, [0, 2, 6, 9], [1, 3, 4, 5, 7, 8], 1024)),
+            (has_all_fractional_ab_factors, CIRCULANT_12, DegreeBounds(2, 3),
+             (False, -6, [0, 2, 4, 6, 8, 10], [1, 3, 5, 7, 9, 11], 4096)),
+        ],
+    )
+    @pytest.mark.parametrize("table_bits", [None, 3, 0])
+    def test_report(self, monkeypatch, decide, graph, arg, expected, table_bits):
+        # the pair loop's table split must not show in any report
+        if table_bits is not None:
+            monkeypatch.setattr(conditions, "PAIR_TABLE_BITS", table_bits)
+        report = decide(graph, arg)
+        assert (report.verdict, report.min_value, sorted(report.witness_s),
+                sorted(report.witness_t), report.pairs_examined) == expected
 
 
 class TestMonotonicity:

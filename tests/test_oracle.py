@@ -25,10 +25,10 @@ from factorspec import (
     has_h_factor,
     lu_all_fractional_gf,
     perfect_matching,
-    perfect_matching_bruteforce,
     tutte_gadget,
 )
 from factorspec.extremal import build_hnb
+from bruteforce import perfect_matching_bruteforce
 from catalogs import all_graphs, connected_graphs
 
 
@@ -69,15 +69,7 @@ class TestEnumerateAdmissible:
         assert demands == sorted(demands)
         assert demands == list(itertools.product((1, 2, 3), repeat=3))
 
-    def test_cursor_restart(self):
-        full = list(enumerate_admissible(4, DegreeBounds(1, 3), parity=True))
-        mid = full[len(full) // 2]
-        resumed = list(enumerate_admissible(4, DegreeBounds(1, 3), parity=True, start=mid))
-        assert resumed == full[len(full) // 2:]
-
-    def test_bad_start(self):
-        with pytest.raises(ValueError):
-            list(enumerate_admissible(3, DegreeBounds(1, 2), start=(0, 1, 1)))
+    def test_no_vertices_rejected(self):
         with pytest.raises(ValueError):
             list(enumerate_admissible(0, DegreeBounds(1, 2)))
 
@@ -148,7 +140,7 @@ class TestPerfectMatching:
                 assert g.has_edge(u, v)
                 assert u not in seen and v not in seen
                 seen.update((u, v))
-            assert len(seen) == g.n and matching.perfect
+            assert len(seen) == g.n
 
     def test_agrees_with_bruteforce_exhaustive(self):
         for n in range(0, 8):
