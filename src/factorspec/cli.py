@@ -279,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
                      f"of order <= {DIRECT_MAX_ORDER}, power iteration above)")
     src.add_argument("--hnb", metavar="N,B", help="closed-form quotient route")
     p.add_argument("--tol", type=float, default=1e-10,
-                   help="certified bound on the l2 residual (--g6 only); exit 3 when unmet")
+                   help="certified bound on the l2 residual (--g6 only); a value below "
+                   "4 eps max(1, max degree) cannot be certified and is a usage error")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_rho)
 

@@ -1,14 +1,17 @@
-"""Demand-by-demand oracles for the factor properties.
+"""Second-route oracles for the factor properties, independent of the
+condition deciders.
 
-h-factor existence is decided by the classical vertex-gadget reduction to
-perfect matching (general-graph matching via augmenting paths with blossom
-contraction), and ``all_ab_factors_oracle`` takes the conjunction over every
-admissible demand, so the integer oracle shares no formula with the
-condition deciders.  ``all_fractional_oracle`` is not independent in that
-sense: for each demand p it evaluates Anstee's fractional p-factor
-condition, the formula behind ``anstee_fractional_gf``, so the fractional
-cross-check compares Lu's characterization with Anstee's, not with ground
-truth.
+Integer: h-factor existence is decided by the classical vertex-gadget
+reduction to perfect matching (general-graph matching via augmenting paths
+with blossom contraction), and ``all_ab_factors_oracle`` takes the
+conjunction over every admissible demand.  The gadget is built straight into
+adjacency lists by one builder, which ``tutte_gadget`` also wraps.
+
+Fractional: ``all_fractional_oracle`` applies max-flow/min-cut on the
+bipartite double cover at every corner {a, b}^n of the demand box, which
+suffices because the realizable demands form a convex set.  It evaluates
+every (subset, corner) value of the min-cut inequality in blocked matrix
+products and uses neither Anstee's nor Lu's formula.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .conditions import CapExceededError, DegreeBounds
-from .graph import Graph, from_edge_list, iter_bits
+from .graph import Graph, iter_bits, mask_of
 
 DEMAND_BUDGET = 10**6
 
@@ -59,6 +62,44 @@ def enumerate_admissible(
 # -- gadget reduction ---------------------------------------------------------
 
 
+def _gadget(g: Graph, h: Sequence[int]) -> tuple[list[list[int]], list[tuple[str, int, int]]]:
+    """The vertex gadget of (g, h) as adjacency lists, with a label per node.
+
+    Internal nodes are numbered first, vertex by vertex, then the externals,
+    vertex by vertex in neighbour order, so the greedy seed of
+    ``_maximum_matching`` fills each internal from its own vertex's
+    externals.  The internals of v share one neighbour list (v's externals);
+    an external lists its link partner first, then v's internals.
+    """
+    if len(h) != g.n:
+        raise ValueError(f"demand covers {len(h)} vertices, graph has {g.n}")
+    nbrs = [list(iter_bits(row)) for row in g.rows]
+    for v, nb in enumerate(nbrs):
+        if not 1 <= h[v]:
+            raise ValueError(f"demand h({v}) = {h[v]} must be positive")
+        if h[v] > len(nb):
+            raise ValueError(f"demand h({v}) = {h[v]} exceeds degree {len(nb)}")
+    labels = [("int", v, j) for v, nb in enumerate(nbrs) for j in range(len(nb) - h[v])]
+    # v's externals are ext_start[v], ext_start[v] + 1, ... in neighbour order,
+    # so the external of u on edge uv sits at ext_start[u] + |N(u) below v|
+    ext_start = []
+    for v, nb in enumerate(nbrs):
+        ext_start.append(len(labels))
+        labels += [("ext", v, u) for u in nb]
+    adj: list[list[int]] = [[]] * len(labels)
+    first_int = 0
+    for v, nb in enumerate(nbrs):
+        ints = list(range(first_int, first_int + len(nb) - h[v]))
+        first_int += len(ints)
+        exts = list(range(ext_start[v], ext_start[v] + len(nb)))
+        for i in ints:
+            adj[i] = exts
+        below_v = (1 << v) - 1
+        for e, u in zip(exts, nb):
+            adj[e] = [ext_start[u] + (g.rows[u] & below_v).bit_count()] + ints
+    return adj, labels
+
+
 def tutte_gadget(g: Graph, h: Sequence[int]) -> tuple[Graph, list[tuple[str, int, int]]]:
     """Reduce h-factor existence in g to perfect matching.
 
@@ -72,34 +113,8 @@ def tutte_gadget(g: Graph, h: Sequence[int]) -> tuple[Graph, list[tuple[str, int
     Returns the gadget and a label per gadget node: ("ext", v, u) for the
     external of v on edge vu, ("int", v, j) for v's j-th internal.
     """
-    if len(h) != g.n:
-        raise ValueError(f"demand covers {len(h)} vertices, graph has {g.n}")
-    labels: list[tuple[str, int, int]] = []
-    ext_index: dict[tuple[int, int], int] = {}
-    int_nodes: list[list[int]] = []
-    for v in range(g.n):
-        deg = g.degree(v)
-        if not 1 <= h[v]:
-            raise ValueError(f"demand h({v}) = {h[v]} must be positive")
-        if h[v] > deg:
-            raise ValueError(f"demand h({v}) = {h[v]} exceeds degree {deg}")
-        for u in iter_bits(g.rows[v]):
-            ext_index[(v, u)] = len(labels)
-            labels.append(("ext", v, u))
-    for v in range(g.n):
-        mine = []
-        for j in range(g.degree(v) - h[v]):
-            mine.append(len(labels))
-            labels.append(("int", v, j))
-        int_nodes.append(mine)
-    edges = []
-    for v in range(g.n):
-        for u in iter_bits(g.rows[v]):
-            if u > v:
-                edges.append((ext_index[(v, u)], ext_index[(u, v)]))
-            for i in int_nodes[v]:
-                edges.append((ext_index[(v, u)], i))
-    return from_edge_list(len(labels), edges), labels
+    adj, labels = _gadget(g, h)
+    return Graph(len(adj), tuple(mask_of(nbrs, len(adj)) for nbrs in adj)), labels
 
 
 # -- general-graph maximum matching -------------------------------------------
@@ -147,9 +162,8 @@ def _maximum_matching(n: int, adj: list[list[int]]) -> list[int]:
             v = parent[match[v]]
 
     def find_augmenting(root: int) -> bool:
-        for i in range(n):
-            parent[i] = -1
-            base[i] = i
+        parent[:] = [-1] * n
+        base[:] = range(n)
         used = [False] * n
         used[root] = True
         queue = [root]
@@ -225,16 +239,17 @@ def has_h_factor(
         raise ValueError("demands must be positive")
     if any(h[v] > g.degree(v) for v in range(g.n)):
         return False, None
-    gadget, labels = tutte_gadget(g, h)
-    matching = perfect_matching(gadget)
-    if matching is None:
+    adj, labels = _gadget(g, h)
+    if len(adj) % 2 == 1:
+        return False, None
+    match = _maximum_matching(len(adj), adj)
+    if -1 in match:
         return False, None
     factor = set()
-    for i, j in matching.edges:
-        li, lj = labels[i], labels[j]
-        if li[0] == "ext" and lj[0] == "ext":
-            u, v = li[1], lj[1]
-            factor.add((min(u, v), max(u, v)))
+    for i, (kind, v, u) in enumerate(labels):
+        # an external's only external neighbour is its link partner
+        if kind == "ext" and v < u and labels[match[i]][0] == "ext":
+            factor.add((v, u))
     degrees = [0] * g.n
     for u, v in factor:
         degrees[u] += 1
@@ -258,44 +273,57 @@ def all_ab_factors_oracle(g: Graph, bounds: DegreeBounds, budget: int = DEMAND_B
     return True
 
 
-@lru_cache(maxsize=8)
-def _demand_matrix(n: int, a: int, b: int) -> np.ndarray:
-    """All demands in [a, b]^n as rows, lexicographic order."""
-    span = b - a + 1
-    idx = np.arange(span**n, dtype=np.int64)
-    cols = [a + (idx // span ** (n - 1 - v)) % span for v in range(n)]
-    return np.stack(cols, axis=1)
+# (subset, corner) values per matmul block: 2^14 float64 entries, 128 KB, so
+# the block and its row minima stay in cache.
+_BLOCK = 1 << 14
+
+
+@lru_cache(maxsize=16)
+def _subset_matrix(n: int) -> np.ndarray:
+    """Read-only 2^n x n 0/1 matrix whose row X is the indicator of the vertex
+    set X (bit v of X is column v)."""
+    masks = np.arange(1 << n, dtype=np.int64)[:, None]
+    subsets = ((masks >> np.arange(n)) & 1).astype(np.float64)
+    subsets.flags.writeable = False
+    return subsets
 
 
 def all_fractional_oracle(g: Graph, bounds: DegreeBounds, budget: int = DEMAND_BUDGET) -> bool:
-    """Conjunction over every demand p in [a, b]^n (no parity filter) of
-    Anstee's fractional p-factor condition f(S) - g(T) + sum_{v in T} d_{G-S}(v) >= 0
-    with g = f = p and T = {v not in S : d_{G-S}(v) < p(v)}.  That is the
-    formula of ``anstee_fractional_gf``, so this oracle is not independent of
-    the deciders.
+    """Whether g has a fractional p-factor for every demand p in [a, b]^n.
 
-    The p-loop is evaluated in bulk per subset S, which changes nothing about
-    the conjunction; S = empty comes first so graphs with a low-degree vertex
-    fail immediately.
+    Max-flow/min-cut on the bipartite double cover (a left and a right copy
+    of V, a unit-capacity arc u_L -> w_R per edge uw, supply p(u) at u_L and
+    demand p(w) at w_R) says g has a fractional p-factor iff, for every
+    X subset of V, sum_u min(p(u), |N(u) & X|) >= p(X).  The realizable p
+    form a zonotope (the image of [0, 1]^E under the degree map), which is
+    convex, so the box [a, b]^n lies inside it iff its 2^n corners {a, b}^n
+    do.  Neither step uses Anstee's or Lu's formula, so this oracle is
+    independent of the fractional deciders.
+
+    Corner c gives p = a + (b - a) c, and the inequality at (X, c) reads
+    base[X] + lin[X] . c >= 0 with d_X = |N(u) & X| per u,
+    base[X] = sum_u min(d_X, a) - a|X| and
+    lin[X] = min(d_X, b) - min(d_X, a) - (b - a) [u in X].  Every (X, c)
+    value is computed, as one float64 matmul per block of X rows against
+    the subset matrix (which doubles as the corner matrix); the entries are
+    small integers, so the arithmetic is exact.  The first block with a
+    negative value ends the search.  The guard counts the 4^n evaluations.
     """
     n = g.n
     if n < 1:
         raise ValueError("oracle rejects the empty graph")
-    if (bounds.b - bounds.a + 1) ** n > budget:
-        raise CapExceededError(
-            f"{(bounds.b - bounds.a + 1) ** n} demand functions exceed budget {budget}"
-        )
-    demands = _demand_matrix(n, bounds.a, bounds.b)
-    adj = np.zeros((n, n), dtype=np.int64)
-    for v in range(n):
-        for u in iter_bits(g.rows[v]):
-            adj[v, u] = 1
-    for smask in range(1 << n):
-        in_s = np.array([(smask >> v) & 1 for v in range(n)], dtype=np.int64)
-        out_s = 1 - in_s
-        deg_minus_s = adj @ out_s
-        in_t = (demands > deg_minus_s) & (out_s == 1)
-        values = demands @ in_s + ((deg_minus_s - demands) * in_t).sum(axis=1)
-        if (values < 0).any():
+    if 4**n > budget:
+        raise CapExceededError(f"{4**n} (subset, corner) evaluations exceed budget {budget}")
+    a, b = bounds.a, bounds.b
+    subsets = _subset_matrix(n)
+    deg_in = subsets @ subsets[list(g.rows)]  # [X, u] = |N(u) & X|
+    low = np.minimum(deg_in, a)
+    base = low.sum(axis=1) - a * subsets.sum(axis=1)
+    lin = np.minimum(deg_in, b) - low - (b - a) * subsets
+    corners = subsets.T
+    step = max(1, _BLOCK >> n)
+    for start in range(0, 1 << n, step):
+        worst = (lin[start:start + step] @ corners).min(axis=1)
+        if (base[start:start + step] + worst < 0).any():
             return False
     return True

@@ -103,13 +103,16 @@ def _adjacency_bits(g: Graph) -> np.ndarray:
 def spectral_radius(g: Graph, tol: float = 1e-10) -> SpectralResult:
     """Largest adjacency eigenvalue; maximum over components when disconnected.
 
-    Raises ``ConvergenceError`` when a component's value cannot be certified
-    within ``tol`` on its route.
+    Raises ``ValueError`` when ``tol`` is below what double precision can
+    certify, 4 eps max(1, max degree) (the maximum degree bounds the norm of
+    the adjacency matrix), and ``ConvergenceError`` when a component's value
+    cannot be certified within ``tol`` on its route.
     """
     if g.n < 1:
         raise ValueError("spectral radius needs at least one vertex")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    floor = 4 * np.finfo(np.float64).eps * max(1, max(row.bit_count() for row in g.rows))
+    if not tol >= floor:  # also rejects nan
+        raise ValueError(f"tolerance {tol:g} is below the certifiable {floor:.3g} for this graph")
     bits = _adjacency_bits(g)
     # isolated vertices contribute eigenvalue 0, on the direct route's side
     best_rho, best_res, best_method = 0.0, 0.0, "dense-eigh"

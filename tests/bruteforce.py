@@ -1,9 +1,12 @@
-"""Backtracking perfect-matching search: the test oracle for the blossom
-matching engine in ``factorspec.oracle``."""
+"""Exhaustive references for ``factorspec.oracle``: a backtracking
+perfect-matching search, the test oracle for the blossom matching engine, and
+a pure-Python max-flow deciding fractional p-factors on the bipartite double
+cover, the test oracle for ``all_fractional_oracle``."""
 
 from __future__ import annotations
 
-from typing import Optional
+from collections import deque
+from typing import Optional, Sequence
 
 from factorspec.graph import Graph, iter_bits
 from factorspec.oracle import Matching
@@ -41,3 +44,56 @@ def perfect_matching_bruteforce(g: Graph) -> Optional[Matching]:
     edges = frozenset((min(u, v), max(u, v)) for u, v in found)
     return Matching(edges)
 
+
+
+def max_flow(cap: list[list[int]], source: int, sink: int) -> int:
+    """Maximum flow value by shortest augmenting paths (Edmonds-Karp) on a
+    dense capacity matrix, which is left unchanged."""
+    n = len(cap)
+    residual = [row[:] for row in cap]
+    total = 0
+    while True:
+        parent = [-1] * n
+        parent[source] = source
+        queue = deque([source])
+        while queue and parent[sink] == -1:
+            v = queue.popleft()
+            for u in range(n):
+                if parent[u] == -1 and residual[v][u] > 0:
+                    parent[u] = v
+                    queue.append(u)
+        if parent[sink] == -1:
+            return total
+        push = None
+        u = sink
+        while u != source:
+            v = parent[u]
+            push = residual[v][u] if push is None else min(push, residual[v][u])
+            u = v
+        u = sink
+        while u != source:
+            v = parent[u]
+            residual[v][u] -= push
+            residual[u][v] += push
+            u = v
+        total += push
+
+
+def has_fractional_factor(g: Graph, p: Sequence[int]) -> bool:
+    """Whether g has a [0, 1]-edge weighting with weighted degree p(v) at
+    every v, decided by max-flow on the bipartite double cover.
+
+    Network: source -> u_L with capacity p(u), u_L -> w_R with capacity 1 for
+    every edge uw (both directions), w_R -> sink with capacity p(w).  A flow
+    saturating the source gives the weighting w(uw) = (f(u_L, w_R) +
+    f(w_L, u_R)) / 2, and a weighting gives the flow f(u_L, w_R) = w(uw).
+    """
+    n = g.n
+    source, sink = 2 * n, 2 * n + 1
+    cap = [[0] * (2 * n + 2) for _ in range(2 * n + 2)]
+    for u in range(n):
+        cap[source][u] = p[u]
+        cap[n + u][sink] = p[u]
+        for w in iter_bits(g.rows[u]):
+            cap[u][n + w] = 1
+    return max_flow(cap, source, sink) == sum(p)

@@ -88,11 +88,11 @@ class TestRho:
         code, _, err = run(capsys, "rho", "--hnb", "5,5")
         assert code == 2
 
-    def test_uncertifiable_tol_is_internal_error(self, capsys):
+    def test_uncertifiable_tol_is_usage_error(self, capsys):
         code, out, err = run(capsys, "rho", "--g6", "Ch", "--tol", "1e-300")
-        assert code == 3
+        assert code == 2
         assert out == ""
-        assert err.startswith("internal error: ConvergenceError")
+        assert err.startswith("error: tolerance 1e-300 is below the certifiable")
         assert "Traceback" not in err
 
 
@@ -107,6 +107,19 @@ class TestInternalErrors:
         code, out, err = run(capsys, "check", "--g6", "Bw", "--a", "1", "--b", "2")
         assert code == 3
         assert out == "" and err.startswith("internal error: KeyError")
+
+    def test_convergence_error_exits_3(self, capsys, monkeypatch):
+        from factorspec import cli
+        from factorspec.spectral import ConvergenceError, SpectralResult
+
+        def unconverged(*args, **kwargs):
+            raise ConvergenceError("injected", SpectralResult(1.0, 1.0, 5, "dense-iteration"))
+
+        monkeypatch.setattr(cli, "spectral_radius", unconverged)
+        code, out, err = run(capsys, "rho", "--g6", "Ch")
+        assert code == 3
+        assert out == "" and err.startswith("internal error: ConvergenceError: injected")
+        assert "Traceback" not in err
 
 
 class TestConstruct:

@@ -2,8 +2,10 @@
 two brute-force oracles.
 
 The gadget route is itself cross-checked here against a direct exponential
-search over spanning subgraphs (gray-code enumeration of edge subsets), which
-is the one place that oracle earns its own trust.
+search over spanning subgraphs (gray-code enumeration of edge subsets), and
+the fractional oracle against a pure-Python max-flow on the double cover at
+every integer demand of the box, which shares no formula with it.  Those are
+the places the oracles earn their own trust.
 """
 
 import itertools
@@ -27,8 +29,9 @@ from factorspec import (
     perfect_matching,
     tutte_gadget,
 )
+from factorspec import oracle
 from factorspec.extremal import build_hnb
-from bruteforce import perfect_matching_bruteforce
+from bruteforce import has_fractional_factor, perfect_matching_bruteforce
 from catalogs import all_graphs, connected_graphs
 
 
@@ -107,6 +110,25 @@ class TestTutteGadget:
             tutte_gadget(complete(3), (3, 1, 1))
         with pytest.raises(ValueError):
             tutte_gadget(complete(3), (0, 1, 1))
+
+    def test_public_gadget_is_the_list_builder(self):
+        rng = random.Random(66)
+        checked = 0
+        while checked < 200:
+            n = rng.randint(2, 8)
+            g = from_edge_list(
+                n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6]
+            )
+            degs = [g.degree(v) for v in range(n)]
+            if min(degs) == 0:
+                continue
+            h = tuple(rng.randint(1, d) for d in degs)
+            gadget, _ = tutte_gadget(g, h)
+            adj, _ = oracle._gadget(g, h)
+            assert all(len(set(nbrs)) == len(nbrs) for nbrs in adj)
+            listed = {(min(i, j), max(i, j)) for i, nbrs in enumerate(adj) for j in nbrs}
+            assert set(gadget.edges()) == listed
+            checked += 1
 
 
 class TestPerfectMatching:
@@ -264,3 +286,26 @@ class TestAllFractionalOracle:
     def test_budget(self):
         with pytest.raises(CapExceededError):
             all_fractional_oracle(from_edge_list(30, []), DegreeBounds(1, 2))
+
+    def test_budget_counts_subset_corner_pairs(self):
+        # 4^n (subset, corner) values: 4^9 fits the default budget, 4^10 does not
+        assert all_fractional_oracle(complete(9), DegreeBounds(1, 2))
+        with pytest.raises(CapExceededError):
+            all_fractional_oracle(complete(10), DegreeBounds(1, 2))
+        with pytest.raises(CapExceededError):
+            all_fractional_oracle(from_edge_list(19, []), DegreeBounds(1, 2))
+
+    def test_matches_double_cover_flow_over_full_box(self):
+        # every integer demand of the box, not only the corners, and every
+        # graph of order <= 5, disconnected ones too
+        verdicts = set()
+        for n in range(1, 6):
+            for g in all_graphs(n):
+                for a, b in [(1, 2), (1, 3), (2, 3)]:
+                    truth = all(
+                        has_fractional_factor(g, p)
+                        for p in itertools.product(range(a, b + 1), repeat=n)
+                    )
+                    assert all_fractional_oracle(g, DegreeBounds(a, b)) == truth, (g, a, b)
+                    verdicts.add(truth)
+        assert verdicts == {True, False}

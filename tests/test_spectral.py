@@ -180,18 +180,42 @@ class TestSpectralRadius:
         assert spectral_radius(g).rho == rho
 
     def test_direct_route_uncertifiable_tol_raises(self):
+        # below 4 eps max(1, max degree) no residual can be certified
+        with pytest.raises(ValueError, match="certifiable"):
+            spectral_radius(path_graph(4), tol=1e-300)
+        floor = 4 * np.finfo(np.float64).eps * 2
+        with pytest.raises(ValueError):
+            spectral_radius(path_graph(4), tol=floor / 2)
+        with pytest.raises(ValueError):
+            spectral_radius(complete(30), tol=floor * 2)  # max degree 29
+        with pytest.raises(ValueError):
+            spectral_radius(from_edge_list(3, []), tol=1e-16)  # edgeless: floor 4 eps
+        with pytest.raises(ValueError):
+            spectral_radius(path_graph(4), tol=float("nan"))
+
+    def test_direct_route_residual_over_tol_carries_best_estimate(self, monkeypatch):
+        # an eigenvector off by 1e-6 leaves a residual far above tol
+        eigh = np.linalg.eigh
+
+        def perturbed(a):
+            w, v = eigh(a)
+            return w, v + 1e-6
+
+        monkeypatch.setattr(spectral.np.linalg, "eigh", perturbed)
         g = path_graph(4)
         with pytest.raises(ConvergenceError) as info:
-            spectral_radius(g, tol=1e-300)
+            spectral_radius(g)
         best = info.value.best
         assert best.method == "dense-eigh" and best.iterations == 0
+        assert best.residual > 1e-10
         assert abs(best.rho - eigvalsh_rho(g)) < 1e-12
 
     def test_nonconvergence_carries_best_estimate(self):
-        # a long path with tol below the attainable floor must hit the cap
-        g = path_graph(120)
+        # a long path with a certifiable tol the iteration cannot reach
+        # within its cap (the residual left at the cap is about 1e-10)
+        g = path_graph(200)
         with pytest.raises(ConvergenceError) as info:
-            spectral_radius(g, tol=1e-16)
+            spectral_radius(g, tol=1e-14)
         best = info.value.best
         assert abs(best.rho - eigvalsh_rho(g)) < 1e-6
         assert best.iterations > 0
