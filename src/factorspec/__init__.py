@@ -36,10 +36,7 @@ from .graph import (
     Graph,
     Graph6Error,
     complete,
-    components_excluding,
-    degrees_excluding,
     disjoint_union,
-    edges_between,
     from_edge_list,
     is_connected,
     join,
@@ -53,18 +50,14 @@ from .harness import (
     equivalence_suite,
     load_graph6_file,
     mine_extremal,
-    report_json,
     stream_graph6,
     worker_count,
 )
 from .oracle import (
-    Matching,
     all_ab_factors_oracle,
     all_fractional_oracle,
     enumerate_admissible,
     has_h_factor,
-    perfect_matching,
-    tutte_gadget,
 )
 from .spectral import (
     ConvergenceError,

@@ -24,7 +24,7 @@ from .conditions import (
     has_all_gf_factors,
 )
 from .extremal import build_g1, build_g2, build_hnb, rho_hnb
-from .graph import Graph, Graph6Error, from_edge_list, parse_graph6, to_graph6
+from .graph import Graph, Graph6Error, check_dense_order, from_edge_list, parse_graph6, to_graph6
 from .harness import (
     SCHEMA_VERSION,
     equivalence_suite,
@@ -52,6 +52,7 @@ def _load_edges_file(path: str) -> Graph:
                 continue
             if n is None:
                 n = int(text)
+                check_dense_order(n, f"edge file {path}")
                 continue
             u, v = text.split()
             edges.append((int(u), int(v)))
@@ -64,6 +65,18 @@ def _load_graph(args) -> Graph:
     if getattr(args, "g6", None):
         return parse_graph6(args.g6)
     return _load_edges_file(args.edges)
+
+
+def _load_catalog(args) -> list[Graph]:
+    """The ``--input`` catalog.  Under ``--lenient`` malformed lines are
+    skipped, and stderr gets their count and the first of them."""
+    skipped: Optional[list[tuple[int, str]]] = [] if args.lenient else None
+    graphs = load_graph6_file(args.input, skipped)
+    if skipped:
+        line, reason = skipped[0]
+        print(f"warning: skipped {len(skipped)} malformed line(s); first: line {line}: {reason}",
+              file=sys.stderr)
+    return graphs
 
 
 def _load_vertex_function(path: str, n: int) -> tuple[int, ...]:
@@ -191,7 +204,7 @@ def cmd_verify(args) -> int:
         if not args.input:
             raise ValueError("verify hong needs --input FILE.g6")
         tol = 1e-9 if args.tol is None else args.tol
-        report = verify_hong(load_graph6_file(args.input, lenient=args.lenient), tol=tol)
+        report = verify_hong(_load_catalog(args), tol=tol)
     elif args.target == "quotient":
         tol = 1e-8 if args.tol is None else args.tol
         report = verify_quotient_transfer(
@@ -210,9 +223,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_mine(args) -> int:
-    graphs = load_graph6_file(args.input, lenient=args.lenient)
     report = mine_extremal(
-        graphs,
+        _load_catalog(args),
         DegreeBounds(args.a, args.b),
         args.mode,
         workers=args.workers,
@@ -233,7 +245,7 @@ def cmd_mine(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    graphs = load_graph6_file(args.input, lenient=args.lenient)
+    graphs = _load_catalog(args)
     grid = [tuple(int(x) for x in pair.split(",")) for pair in args.grid.split(";") if pair]
     report = equivalence_suite(graphs, grid, args.mode, nmax=args.nmax, workers=args.workers)
     lines = [

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .conditions import ConditionReport, DegreeBounds, delta, theta
-from .graph import Graph
+from .graph import Graph, check_dense_order
 from .spectral import QuotientMatrix, leading_eigenvalue
 
 
@@ -23,6 +23,7 @@ def _ceil_div(p: int, q: int) -> int:
 def _clique_join_layout(first: int, join: int, tail: int) -> Graph:
     """K_join joined to (K_first u K_tail), vertices ordered [first|join|tail]."""
     n = first + join + tail
+    check_dense_order(n, "construction")
     full = (1 << n) - 1
     first_mask = (1 << first) - 1
     join_mask = ((1 << join) - 1) << first

@@ -128,7 +128,7 @@ def join(g1: Graph, g2: Graph) -> Graph:
 # column-major order x(0,1), x(0,2), x(1,2), x(0,3), ..., packed into 6-bit
 # groups, each stored as value+63, zero-padded.
 
-_HEADER = b">>graph6<<"
+GRAPH6_HEADER = b">>graph6<<"
 
 
 def _encode_size(n: int) -> bytes:
@@ -192,8 +192,8 @@ def parse_graph6(data: bytes | str) -> Graph:
     """Decode a single graph6 record, optionally preceded by '>>graph6<<'."""
     if isinstance(data, str):
         data = data.encode("ascii")
-    if data.startswith(_HEADER):
-        data = data[len(_HEADER):]
+    if data.startswith(GRAPH6_HEADER):
+        data = data[len(GRAPH6_HEADER):]
     data = data.rstrip(b"\r\n")
     n, offset = _decode_size(data)
     body = data[offset:]
@@ -221,23 +221,7 @@ def parse_graph6(data: bytes | str) -> Graph:
     return Graph(n, tuple(rows))
 
 
-# -- set / degree / component primitives -------------------------------------
-
-
-def degrees_excluding(g: Graph, excluded: Iterable[int]) -> dict[int, int]:
-    """Degrees in G - S: map v -> |N(v) \\ S| for every vertex v not in S."""
-    smask = mask_of(excluded, g.n)
-    keep = ~smask
-    return {v: (g.rows[v] & keep).bit_count() for v in range(g.n) if not (smask >> v) & 1}
-
-
-def edges_between(g: Graph, aset: Iterable[int], bset: Iterable[int]) -> int:
-    """Number of edges with one endpoint in each of two disjoint vertex sets."""
-    amask = mask_of(aset, g.n)
-    bmask = mask_of(bset, g.n)
-    if amask & bmask:
-        raise ValueError("edges_between requires disjoint vertex sets")
-    return sum((g.rows[v] & bmask).bit_count() for v in iter_bits(amask))
+# -- components and the dense-order guard -----------------------------------
 
 
 def component_masks(rows: tuple[int, ...], n: int, avoid: int) -> list[int]:
@@ -265,13 +249,19 @@ def component_masks(rows: tuple[int, ...], n: int, avoid: int) -> list[int]:
     return comps
 
 
-def components_excluding(g: Graph, excluded: Iterable[int]) -> list[frozenset[int]]:
-    """Partition of V(G) - X into connected components, sorted by smallest member."""
-    avoid = mask_of(excluded, g.n)
-    return [set_of(comp) for comp in component_masks(g.rows, g.n, avoid)]
-
-
 def is_connected(g: Graph) -> bool:
     if g.n == 0:
         raise ValueError("connectivity is undefined for the empty graph")
     return len(component_masks(g.rows, g.n, 0)) == 1
+
+
+# Largest order accepted where the input's size does not bound what gets
+# allocated: a dense adjacency matrix takes n^2 float64 (128 MB at 4096), and
+# bitmask rows built from a bare vertex count take n^2 bits.
+MAX_DENSE_ORDER = 4096
+
+
+def check_dense_order(n: int, what: str) -> None:
+    """Refuse ``n`` above MAX_DENSE_ORDER, before any n^2 allocation."""
+    if n > MAX_DENSE_ORDER:
+        raise ValueError(f"{what} has order {n}, above the dense limit {MAX_DENSE_ORDER}")

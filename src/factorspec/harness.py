@@ -10,7 +10,6 @@ wall-clock fields, making reports byte-identical across runs.
 from __future__ import annotations
 
 import dataclasses
-import json
 import multiprocessing
 import os
 import time
@@ -35,54 +34,48 @@ from .extremal import (
     rho_hnb,
     rho_k1_join_cliques,
 )
-from .graph import Graph, Graph6Error, is_connected, parse_graph6, to_graph6
+from .graph import GRAPH6_HEADER, Graph, Graph6Error, is_connected, parse_graph6, to_graph6
 from .oracle import all_ab_factors_oracle, all_fractional_oracle
 from .spectral import charpoly_eval_3x3, hong_bound, leading_eigenvalue, quotient_matrix, spectral_radius
 
 MODES = ("integer", "fractional")
 # mine_extremal treats spectral radii this close (relative) as equal
 RHO_TIE_REL = 1e-9
-GRAPH6_HEADER = b">>graph6<<"
 
 
 def stream_graph6(
-    source: Iterable[bytes | str],
-    lenient: bool = False,
-    errors: Optional[list[tuple[int, str]]] = None,
+    source: Iterable[bytes | str], skipped: Optional[list[tuple[int, str]]] = None
 ) -> Iterator[Graph]:
     """Decode newline-delimited graph6 records lazily, 1-based line numbers.
 
-    Malformed lines abort with the line number attached (strict, default) or
-    are skipped and recorded in ``errors`` (lenient).  A one-time header is
-    accepted either on its own first line or glued to the first record.
+    A malformed line raises ``Graph6Error`` naming its line when ``skipped``
+    is None (strict); otherwise it is skipped and ``(line, reason)`` appended
+    to ``skipped``.  A header is accepted once, on line 1, either alone or
+    glued to the first record; anywhere else it is a malformed line.
     """
     for lineno, line in enumerate(source, start=1):
         try:
-            raw = line.encode("ascii") if isinstance(line, str) else line
-        except UnicodeEncodeError as exc:
-            if lenient:
-                if errors is not None:
-                    errors.append((lineno, "non-ascii character in record"))
+            if isinstance(line, str):
+                if not line.isascii():
+                    raise Graph6Error("non-ascii character in record")
+                line = line.encode("ascii")
+            raw = line.rstrip(b"\r\n")
+            if not raw or (lineno == 1 and raw == GRAPH6_HEADER):
                 continue
-            raise Graph6Error(f"line {lineno}: non-ascii character in record") from exc
-        raw = raw.rstrip(b"\r\n")
-        if lineno == 1 and raw == GRAPH6_HEADER:
-            continue
-        if not raw:
-            continue
-        try:
+            if lineno > 1 and raw.startswith(GRAPH6_HEADER):
+                raise Graph6Error("graph6 header is only allowed on line 1")
             yield parse_graph6(raw)
         except Graph6Error as exc:
-            if lenient:
-                if errors is not None:
-                    errors.append((lineno, str(exc)))
-                continue
-            raise Graph6Error(f"line {lineno}: {exc}") from exc
+            if skipped is None:
+                raise Graph6Error(f"line {lineno}: {exc}") from exc
+            skipped.append((lineno, str(exc)))
 
 
-def load_graph6_file(path: str | os.PathLike, lenient: bool = False) -> list[Graph]:
+def load_graph6_file(
+    path: str | os.PathLike, skipped: Optional[list[tuple[int, str]]] = None
+) -> list[Graph]:
     with open(path, "rb") as fh:
-        return list(stream_graph6(fh, lenient=lenient))
+        return list(stream_graph6(fh, skipped))
 
 
 # -- deterministic parallel sweep ----------------------------------------------
@@ -261,14 +254,10 @@ def equivalence_suite(
     mode: str,
     nmax: Optional[int] = None,
     workers: Optional[int] = None,
-    decider: Optional[Callable[[Graph, DegreeBounds], bool]] = None,
-    oracle: Optional[Callable[[Graph, DegreeBounds], bool]] = None,
 ) -> SuiteReport:
     """Decider-versus-oracle agreement over every connected graph of order
     <= nmax in the catalog, for each (a, b) of the grid.
 
-    ``decider``/``oracle`` may be overridden (harness self-tests inject a
-    corrupted decider); overrides run serially since they may not pickle.
     A catalog and grid that leave zero cases raise ValueError.
     """
     if mode not in MODES:
@@ -277,28 +266,16 @@ def equivalence_suite(
         nmax = 7 if mode == "integer" else 8
     t0 = time.perf_counter()
     kept = [g for g in graphs if 1 <= g.n <= nmax and is_connected(g)]
-    mismatches = []
-    cases_run = 0
-    if decider is not None or oracle is not None:
-        use_decider = decider or (lambda g, bd: _decide(g, bd.a, bd.b, mode, None))
-        use_oracle = oracle or (lambda g, bd: _oracle(g, bd.a, bd.b, mode))
-        for g in kept:
-            for a, b in grid:
-                bd = DegreeBounds(a, b)
-                d, o = use_decider(g, bd), use_oracle(g, bd)
-                cases_run += 1
-                if d != o:
-                    mismatches.append(SuiteMismatch(to_graph6(g).decode("ascii"), a, b, d, o))
-    else:
-        cases = [(g, a, b, mode) for g in kept for a, b in grid]
-        for (g, a, b, _), (d, o) in zip(cases, _sweep(_suite_case, cases, workers)):
-            cases_run += 1
-            if d != o:
-                mismatches.append(SuiteMismatch(to_graph6(g).decode("ascii"), a, b, d, o))
-    _require_cases(f"{mode}-equivalence", cases_run)
+    cases = [(g, a, b, mode) for g in kept for a, b in grid]
+    _require_cases(f"{mode}-equivalence", len(cases))
+    mismatches = [
+        SuiteMismatch(to_graph6(g).decode("ascii"), a, b, d, o)
+        for (g, a, b, _), (d, o) in zip(cases, _sweep(_suite_case, cases, workers))
+        if d != o
+    ]
     return SuiteReport(
         suite=f"{mode}-equivalence",
-        cases_run=cases_run,
+        cases_run=len(cases),
         mismatches=mismatches,
         elapsed=time.perf_counter() - t0,
     )
@@ -450,7 +427,3 @@ def report_to_dict(report) -> dict:
     data = dataclasses.asdict(report)
     data.pop("elapsed", None)
     return {"schema": SCHEMA_VERSION, **_round12(data)}
-
-
-def report_json(report) -> str:
-    return json.dumps(report_to_dict(report), sort_keys=True)

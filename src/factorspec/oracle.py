@@ -16,7 +16,7 @@ products and uses neither Anstee's nor Lu's formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
@@ -28,35 +28,13 @@ from .graph import Graph, iter_bits, mask_of
 DEMAND_BUDGET = 10**6
 
 
-@dataclass(frozen=True)
-class Matching:
-    """Set of pairwise vertex-disjoint edges."""
-
-    edges: frozenset[tuple[int, int]]
-
-
-def enumerate_admissible(
-    n: int, bounds: DegreeBounds, parity: bool = True
-) -> Iterator[tuple[int, ...]]:
-    """Demand functions h with a <= h(v) <= b, in lexicographic order.
-
-    With ``parity`` set, only even-total demands come out (odd totals can
-    never be degree sequences).
-    """
+def enumerate_admissible(n: int, bounds: DegreeBounds) -> Iterator[tuple[int, ...]]:
+    """Demand functions h with a <= h(v) <= b and even total (odd totals can
+    never be degree sequences), in lexicographic order."""
     if n < 1:
         raise ValueError("demand enumeration needs at least one vertex")
-    a, b = bounds.a, bounds.b
-    cur = [a] * n
-    while True:
-        if not parity or sum(cur) % 2 == 0:
-            yield tuple(cur)
-        i = n - 1
-        while i >= 0 and cur[i] == b:
-            cur[i] = a
-            i -= 1
-        if i < 0:
-            return
-        cur[i] += 1
+    demands = itertools.product(range(bounds.a, bounds.b + 1), repeat=n)
+    return (h for h in demands if sum(h) % 2 == 0)
 
 
 # -- gadget reduction ---------------------------------------------------------
@@ -207,19 +185,15 @@ def _maximum_matching(n: int, adj: list[list[int]]) -> list[int]:
     return match
 
 
-def _adjacency_lists(g: Graph) -> list[list[int]]:
-    return [list(iter_bits(row)) for row in g.rows]
-
-
-def perfect_matching(g: Graph) -> Optional[Matching]:
-    """A perfect matching of g, or None when none exists (exact)."""
+def perfect_matching(g: Graph) -> Optional[frozenset[tuple[int, int]]]:
+    """The edges (u, v), u < v, of a perfect matching of g, or None when
+    none exists (exact)."""
     if g.n % 2 == 1:
         return None
-    match = _maximum_matching(g.n, _adjacency_lists(g))
-    if any(m == -1 for m in match):
+    match = _maximum_matching(g.n, [list(iter_bits(row)) for row in g.rows])
+    if -1 in match:
         return None
-    edges = frozenset((v, match[v]) for v in range(g.n) if v < match[v])
-    return Matching(edges)
+    return frozenset((v, match[v]) for v in range(g.n) if v < match[v])
 
 
 # -- factor existence and the two oracles --------------------------------------
@@ -259,15 +233,14 @@ def has_h_factor(
     return True, frozenset(factor)
 
 
-def all_ab_factors_oracle(g: Graph, bounds: DegreeBounds, budget: int = DEMAND_BUDGET) -> bool:
+def all_ab_factors_oracle(g: Graph, bounds: DegreeBounds) -> bool:
     """Conjunction of h-factor existence over every even-total demand in [a, b]^n."""
     if g.n < 1:
         raise ValueError("oracle rejects the empty graph")
-    if (bounds.b - bounds.a + 1) ** g.n > budget:
-        raise CapExceededError(
-            f"{(bounds.b - bounds.a + 1) ** g.n} demand functions exceed budget {budget}"
-        )
-    for h in enumerate_admissible(g.n, bounds, parity=True):
+    demands = (bounds.b - bounds.a + 1) ** g.n
+    if demands > DEMAND_BUDGET:
+        raise CapExceededError(f"{demands} demand functions exceed budget {DEMAND_BUDGET}")
+    for h in enumerate_admissible(g.n, bounds):
         if not has_h_factor(g, h)[0]:
             return False
     return True
@@ -288,7 +261,7 @@ def _subset_matrix(n: int) -> np.ndarray:
     return subsets
 
 
-def all_fractional_oracle(g: Graph, bounds: DegreeBounds, budget: int = DEMAND_BUDGET) -> bool:
+def all_fractional_oracle(g: Graph, bounds: DegreeBounds) -> bool:
     """Whether g has a fractional p-factor for every demand p in [a, b]^n.
 
     Max-flow/min-cut on the bipartite double cover (a left and a right copy
@@ -312,8 +285,10 @@ def all_fractional_oracle(g: Graph, bounds: DegreeBounds, budget: int = DEMAND_B
     n = g.n
     if n < 1:
         raise ValueError("oracle rejects the empty graph")
-    if 4**n > budget:
-        raise CapExceededError(f"{4**n} (subset, corner) evaluations exceed budget {budget}")
+    if 4**n > DEMAND_BUDGET:
+        raise CapExceededError(
+            f"{4**n} (subset, corner) evaluations exceed budget {DEMAND_BUDGET}"
+        )
     a, b = bounds.a, bounds.b
     subsets = _subset_matrix(n)
     deg_in = subsets @ subsets[list(g.rows)]  # [X, u] = |N(u) & X|

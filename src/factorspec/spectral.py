@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import Graph, component_masks, is_connected, iter_bits, mask_of
+from .graph import Graph, check_dense_order, component_masks, is_connected, iter_bits, mask_of
 
 # Components of at most this order go to the direct eigensolver: up to 64,
 # eigh costs under a millisecond, where iteration on a small spectral gap (a
@@ -103,13 +103,15 @@ def _adjacency_bits(g: Graph) -> np.ndarray:
 def spectral_radius(g: Graph, tol: float = 1e-10) -> SpectralResult:
     """Largest adjacency eigenvalue; maximum over components when disconnected.
 
-    Raises ``ValueError`` when ``tol`` is below what double precision can
-    certify, 4 eps max(1, max degree) (the maximum degree bounds the norm of
-    the adjacency matrix), and ``ConvergenceError`` when a component's value
-    cannot be certified within ``tol`` on its route.
+    Raises ``ValueError`` above ``MAX_DENSE_ORDER`` vertices and when ``tol``
+    is below what double precision can certify, 4 eps max(1, max degree) (the
+    maximum degree bounds the norm of the adjacency matrix), and
+    ``ConvergenceError`` when a component's value cannot be certified within
+    ``tol`` on its route.
     """
     if g.n < 1:
         raise ValueError("spectral radius needs at least one vertex")
+    check_dense_order(g.n, "graph")
     floor = 4 * np.finfo(np.float64).eps * max(1, max(row.bit_count() for row in g.rows))
     if not tol >= floor:  # also rejects nan
         raise ValueError(f"tolerance {tol:g} is below the certifiable {floor:.3g} for this graph")
@@ -312,23 +314,15 @@ def _certified_largest_root(coeffs: list[Fraction], upper: Fraction) -> float:
 
 
 def leading_eigenvalue(b: QuotientMatrix) -> float:
-    """Largest eigenvalue of an equitable quotient matrix.
+    """Largest eigenvalue of an equitable quotient matrix of at most 3 parts.
 
-    For k <= 3 the root is isolated from exact characteristic-polynomial
-    coefficients; larger quotients are symmetrised by the part sizes and
-    handed to a dense symmetric eigensolver.  By eigenvalue transfer this
-    equals the spectral radius of the underlying graph whenever that graph
-    is connected.
+    The root is isolated from exact characteristic-polynomial coefficients.
+    By eigenvalue transfer it equals the spectral radius of the underlying
+    graph whenever that graph is connected.
     """
     if not b.equitable:
         raise ValueError("leading eigenvalue transfer requires an equitable quotient")
-    if b.k <= 3:
-        coeffs = _charpoly_coeffs(b)
-        return _certified_largest_root(coeffs, max(b.row_sums()))
-    scale = np.sqrt(np.array(b.part_sizes, dtype=float))
-    m = np.array([[float(x) for x in row] for row in b.entries])
-    sym = m * scale[:, None] / scale[None, :]
-    return float(np.linalg.eigvalsh(sym)[-1])
+    return _certified_largest_root(_charpoly_coeffs(b), max(b.row_sums()))
 
 
 def charpoly_eval_3x3(b: QuotientMatrix, x: int | Fraction) -> Fraction:

@@ -1,20 +1,20 @@
-"""Exhaustive references for ``factorspec.oracle``: a backtracking
-perfect-matching search, the test oracle for the blossom matching engine, and
-a pure-Python max-flow deciding fractional p-factors on the bipartite double
-cover, the test oracle for ``all_fractional_oracle``."""
+"""Exhaustive references: a backtracking perfect-matching search, the test
+oracle for the blossom matching engine; a pure-Python max-flow deciding
+fractional p-factors on the bipartite double cover, the test oracle for
+``all_fractional_oracle``; and degrees in G - S, from which the tests
+re-evaluate the deficiency functionals."""
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from factorspec.graph import Graph, iter_bits
-from factorspec.oracle import Matching
+from factorspec.graph import Graph, iter_bits, mask_of
 
 BRUTE_FORCE_LIMIT = 12
 
 
-def perfect_matching_bruteforce(g: Graph) -> Optional[Matching]:
+def perfect_matching_bruteforce(g: Graph) -> Optional[frozenset[tuple[int, int]]]:
     if g.n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute-force matcher is guarded to n <= {BRUTE_FORCE_LIMIT}")
     if g.n % 2 == 1:
@@ -41,9 +41,7 @@ def perfect_matching_bruteforce(g: Graph) -> Optional[Matching]:
     found = search(0)
     if found is None:
         return None
-    edges = frozenset((min(u, v), max(u, v)) for u, v in found)
-    return Matching(edges)
-
+    return frozenset((min(u, v), max(u, v)) for u, v in found)
 
 
 def max_flow(cap: list[list[int]], source: int, sink: int) -> int:
@@ -97,3 +95,10 @@ def has_fractional_factor(g: Graph, p: Sequence[int]) -> bool:
         for w in iter_bits(g.rows[u]):
             cap[u][n + w] = 1
     return max_flow(cap, source, sink) == sum(p)
+
+
+def degrees_excluding(g: Graph, excluded: Iterable[int]) -> dict[int, int]:
+    """Degrees in G - S: map v -> |N(v) \\ S| for every vertex v not in S."""
+    smask = mask_of(excluded, g.n)
+    keep = ~smask
+    return {v: (g.rows[v] & keep).bit_count() for v in range(g.n) if not (smask >> v) & 1}

@@ -16,7 +16,6 @@ from factorspec import (
     has_all_ab_factors,
     has_all_gf_factors,
     parse_graph6,
-    perfect_matching,
     rho_k1_join_cliques,
     spectral_radius,
     threshold_n,
@@ -30,6 +29,7 @@ from factorspec.harness import (
     verify_k1_join_bound,
     verify_quotient_transfer,
 )
+from factorspec.oracle import perfect_matching
 from bruteforce import perfect_matching_bruteforce
 from catalogs import all_graphs, connected_up_to
 

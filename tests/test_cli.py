@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from factorspec import build_hnb, complete, to_graph6
+from factorspec import build_hnb, complete, from_edge_list, graph, spectral, to_graph6
 from factorspec.cli import main
 from catalogs import connected_graphs
 
@@ -229,6 +229,80 @@ class TestMineAndSuite:
         code, _, err = run(capsys, "mine", "--input", "/nonexistent.g6", "--a", "1",
                            "--b", "2", "--mode", "integer")
         assert code == 2
+
+
+class TestLenient:
+    # K3 and P3, each followed by a malformed line
+    BAD = b"Bw\nB\nBg\nBww\n"
+    COMMANDS = (
+        ["suite", "--mode", "integer", "--json"],
+        ["mine", "--a", "1", "--b", "2", "--mode", "integer", "--json"],
+        ["verify", "hong", "--json"],
+    )
+
+    def test_strict_names_the_first_bad_line(self, capsys, tmp_path):
+        path = tmp_path / "bad.g6"
+        path.write_bytes(self.BAD)
+        for argv in self.COMMANDS:
+            code, out, err = run(capsys, *argv, "--input", str(path))
+            assert code == 2 and out == ""
+            assert err == "error: line 2: truncated graph6 body: need 1 bytes, got 0\n"
+
+    def test_lenient_reports_what_it_skipped(self, capsys, tmp_path):
+        bad, clean = tmp_path / "bad.g6", tmp_path / "clean.g6"
+        bad.write_bytes(self.BAD)
+        clean.write_bytes(b"Bw\nBg\n")
+        for argv in self.COMMANDS:
+            code, out, err = run(capsys, *argv, "--input", str(bad), "--lenient")
+            assert json.loads(out)["cases_run"] > 0
+            assert err == ("warning: skipped 2 malformed line(s); first: line 2: "
+                           "truncated graph6 body: need 1 bytes, got 0\n")
+            # stdout as on the clean catalog, where nothing is skipped or said
+            assert run(capsys, *argv, "--input", str(clean), "--lenient") == (code, out, "")
+
+
+class TestDenseOrderGuard:
+    """Orders above MAX_DENSE_ORDER are usage errors, refused before any
+    n^2 allocation; the constant is lowered so the tests stay small."""
+
+    @pytest.fixture(autouse=True)
+    def small_limit(self, monkeypatch):
+        monkeypatch.setattr(graph, "MAX_DENSE_ORDER", 8)
+
+    def test_edges_file(self, capsys, tmp_path, monkeypatch):
+        from factorspec import cli
+
+        def build(n, edges):  # [0] * n would take 8 GB at the order below
+            assert n <= 8, "graph built above the limit"
+            return from_edge_list(n, edges)
+
+        monkeypatch.setattr(cli, "from_edge_list", build)
+        path = tmp_path / "big.edges"
+        path.write_text("1000000000\n0 1\n")
+        code, out, err = run(capsys, "check", "--edges", str(path), "--a", "1", "--b", "2")
+        assert code == 2 and out == ""
+        assert err == f"error: edge file {path} has order 1000000000, above the dense limit 8\n"
+        path.write_text("8\n0 1\n")
+        assert run(capsys, "check", "--edges", str(path), "--a", "1", "--b", "2")[0] == 1
+
+    def test_construct_and_quotient(self, capsys):
+        code, out, err = run(capsys, "construct", "hnb", "--n", "9", "--b", "3")
+        assert code == 2 and out == "" and "construction has order 9" in err
+        assert run(capsys, "construct", "hnb", "--n", "8", "--b", "3")[0] == 0
+        code, out, err = run(capsys, "verify", "quotient", "--n-grid", "9", "--b-grid", "3")
+        assert code == 2 and out == "" and "above the dense limit 8" in err
+
+    def test_dense_rho(self, capsys, monkeypatch):
+        def no_matrix(g):
+            raise AssertionError("adjacency matrix built above the limit")
+
+        monkeypatch.setattr(spectral, "_adjacency_bits", no_matrix)
+        code, out, err = run(capsys, "rho", "--g6", to_graph6(complete(9)).decode())
+        assert code == 2 and out == "" and "graph has order 9" in err
+
+    def test_closed_form_rho_is_not_guarded(self, capsys):
+        code, out, _ = run(capsys, "rho", "--hnb", "100000,7")
+        assert code == 0 and "rho(hnb(100000,7))" in out
 
 
 class TestUsageErrors:

@@ -17,7 +17,6 @@ from factorspec import (
     anstee_fractional_gf,
     classify_components,
     complete,
-    degrees_excluding,
     delta,
     disjoint_union,
     from_edge_list,
@@ -32,6 +31,7 @@ from factorspec import (
 )
 from factorspec import conditions
 from factorspec.extremal import build_hnb
+from bruteforce import degrees_excluding
 from catalogs import all_graphs, connected_graphs
 
 

