@@ -41,21 +41,44 @@ from .harness import (
 from .spectral import DIRECT_MAX_ORDER, spectral_radius
 
 
+def _ints(tokens: list[str], where: str) -> list[int]:
+    """``tokens`` as integers; a bad token is a ValueError naming ``where`` and it."""
+    values = []
+    for tok in tokens:
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise ValueError(f"{where}: {tok!r} is not an integer") from None
+    return values
+
+
+def _int_pair(text: str, where: str, shape: str) -> tuple[int, int]:
+    """``text`` as the two comma-separated integers that ``shape`` names."""
+    tokens = text.split(",")
+    if len(tokens) != 2:
+        raise ValueError(f"{where}: expected {shape}, got {text!r}")
+    first, second = _ints(tokens, where)
+    return first, second
+
+
 def _load_edges_file(path: str) -> Graph:
     """Edge-list file: first line n, then one 'u v' pair per line; # comments."""
     n: Optional[int] = None
     edges = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:
                 continue
+            where = f"edge file {path} line {lineno}"
             if n is None:
-                n = int(text)
+                n = _ints([text], where)[0]
                 check_dense_order(n, f"edge file {path}")
                 continue
-            u, v = text.split()
-            edges.append((int(u), int(v)))
+            tokens = text.split()
+            if len(tokens) != 2:
+                raise ValueError(f"{where}: expected 'u v', got {text!r}")
+            edges.append(tuple(_ints(tokens, where)))
     if n is None:
         raise ValueError(f"edge file {path} is empty")
     return from_edge_list(n, edges)
@@ -82,10 +105,9 @@ def _load_catalog(args) -> list[Graph]:
 def _load_vertex_function(path: str, n: int) -> tuple[int, ...]:
     values = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
-            if text:
-                values.extend(int(tok) for tok in text.split())
+            values.extend(_ints(text.split(), f"{path} line {lineno}"))
     if len(values) != n:
         raise ValueError(f"{path} prescribes {len(values)} values for {n} vertices")
     return tuple(values)
@@ -97,16 +119,6 @@ def _emit(args, payload: dict, human_lines: list[str]) -> None:
     else:
         for line in human_lines:
             print(line)
-
-
-def _report_lines(report: ConditionReport) -> list[str]:
-    return [
-        f"verdict: {str(report.verdict).lower()}",
-        f"min_value: {report.min_value}",
-        f"witness_S: {sorted(report.witness_s)}",
-        f"witness_T: {sorted(report.witness_t)}",
-        f"pairs_examined: {report.pairs_examined}",
-    ]
 
 
 def _condition_payload(report: ConditionReport) -> dict:
@@ -124,29 +136,30 @@ def _condition_payload(report: ConditionReport) -> dict:
 
 def cmd_check(args) -> int:
     g = _load_graph(args)
-    kwargs = {} if args.cap is None else {"cap": args.cap}
     if args.mode == "gf":
         if not (args.g and args.f):
             raise ValueError("--mode gf needs --g FILE and --f FILE")
         funcs = DegreeFunctions(
             _load_vertex_function(args.g, g.n), _load_vertex_function(args.f, g.n)
         )
-        report = has_all_gf_factors(g, funcs, **kwargs)
+        report = has_all_gf_factors(g, funcs)
     else:
         if args.a is None or args.b is None:
             raise ValueError(f"--mode {args.mode} needs --a and --b")
         bounds = DegreeBounds(args.a, args.b)
         if args.mode == "integer":
-            report = has_all_ab_factors(g, bounds, **kwargs)
+            report = has_all_ab_factors(g, bounds)
         else:
-            report = has_all_fractional_ab_factors(g, bounds, **kwargs)
-    _emit(args, {"mode": args.mode, **_condition_payload(report)}, _report_lines(report))
+            report = has_all_fractional_ab_factors(g, bounds)
+    payload = _condition_payload(report)
+    _emit(args, {"mode": args.mode, **payload},
+          [f"{key}: {json.dumps(value)}" for key, value in payload.items()])
     return 0 if report.verdict else 1
 
 
 def cmd_rho(args) -> int:
     if args.hnb:
-        n, b = (int(tok) for tok in args.hnb.split(","))
+        n, b = _int_pair(args.hnb, "--hnb", "N,B")
         rho = rho_hnb(n, b)
         payload = {
             "n": n,
@@ -191,8 +204,8 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok]
+def _int_list(text: str, flag: str) -> list[int]:
+    return _ints([tok for tok in text.split(",") if tok], flag)
 
 
 def cmd_verify(args) -> int:
@@ -208,10 +221,10 @@ def cmd_verify(args) -> int:
     elif args.target == "quotient":
         tol = 1e-8 if args.tol is None else args.tol
         report = verify_quotient_transfer(
-            ns=_int_list(args.n_grid), bs=_int_list(args.b_grid), tol=tol
+            ns=_int_list(args.n_grid, "--n-grid"), bs=_int_list(args.b_grid, "--b-grid"), tol=tol
         )
     else:  # k1join
-        report = verify_k1_join_bound(ns=_int_list(args.n_grid), margin=args.margin)
+        report = verify_k1_join_bound(ns=_int_list(args.n_grid, "--n-grid"), margin=args.margin)
     lines = [
         f"{report.name}: {'PASS' if report.passed else 'FAIL'} "
         f"({report.cases_run} cases, {len(report.failures)} failures, "
@@ -224,11 +237,7 @@ def cmd_verify(args) -> int:
 
 def cmd_mine(args) -> int:
     report = mine_extremal(
-        _load_catalog(args),
-        DegreeBounds(args.a, args.b),
-        args.mode,
-        workers=args.workers,
-        cap=args.cap,
+        _load_catalog(args), DegreeBounds(args.a, args.b), args.mode, workers=args.workers
     )
     lines = [
         f"catalog: {report.cases_run} graphs of order {report.n}, mode {report.mode}, "
@@ -246,7 +255,7 @@ def cmd_mine(args) -> int:
 
 def cmd_suite(args) -> int:
     graphs = _load_catalog(args)
-    grid = [tuple(int(x) for x in pair.split(",")) for pair in args.grid.split(";") if pair]
+    grid = [_int_pair(pair, "--grid", "a,b") for pair in args.grid.split(";") if pair]
     report = equivalence_suite(graphs, grid, args.mode, nmax=args.nmax, workers=args.workers)
     lines = [
         f"{report.suite}: {'PASS' if report.passed else 'FAIL'} "
@@ -281,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["integer", "fractional", "gf"], default="integer")
     p.add_argument("--g", help="per-vertex g file (gf mode)")
     p.add_argument("--f", help="per-vertex f file (gf mode)")
-    p.add_argument("--cap", type=int, help="override the exhaustive enumeration cap")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_check)
 
@@ -324,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--mode", choices=["integer", "fractional"], required=True)
-    p.add_argument("--cap", type=int)
     p.add_argument("--workers", type=int)
     p.add_argument("--lenient", action="store_true")
     p.add_argument("--json", action="store_true")

@@ -19,7 +19,9 @@ the least value so far, so ``pairs_examined`` depends on this order; pairs at
 that value are still evaluated, so the minimum and the witness do not.  The
 subset loop takes all 2^n subsets in numeric order.  Ties go to the least
 (sorted first set, sorted second set) pair of tuples.  Enumeration is exact:
-inputs over the cap are refused, not sampled.
+graphs above PAIR_ENUM_CAP (pair loop) or SUBSET_ENUM_CAP (subset loop)
+vertices raise ``CapExceededError`` rather than being sampled, and no caller
+can lift these limits.
 """
 
 from __future__ import annotations
@@ -32,11 +34,11 @@ from .graph import Graph, component_masks, iter_bits, mask_of, set_of
 
 PAIR_ENUM_CAP = 16
 SUBSET_ENUM_CAP = 22
-PAIR_TABLE_BITS = 12  # the pair loop tabulates the part of S below this vertex
+PAIR_TABLE_BITS = 12  # the pair loop tabulates the part of S below this vertex, for speed
 
 
 class CapExceededError(RuntimeError):
-    """An exhaustive enumeration would exceed its configured cap."""
+    """The graph is larger than the enumeration cap of the decider's loop."""
 
 
 @dataclass(frozen=True)
@@ -193,10 +195,7 @@ def _guard(g: Graph, prescribed: Sequence[int], cap: int, loop: str) -> None:
     if g.n == 0:
         raise ValueError("deciders reject the empty graph")
     if g.n > cap:
-        raise CapExceededError(
-            f"n={g.n} exceeds the exhaustive enumeration cap {cap}; "
-            f"raise the cap explicitly to force the {loop} loop"
-        )
+        raise CapExceededError(f"n={g.n} exceeds the {loop} enumeration cap {cap}")
 
 
 def _least(best: tuple[int, int, int], value: int, smask: int, tmask: int) -> tuple[int, int, int]:
@@ -217,12 +216,14 @@ def _report(best: tuple[int, int, int], threshold: int, examined: int) -> Condit
 
 def _minimize_pairs(
     g: Graph, lo: tuple[int, ...], hi: tuple[int, ...], strict: int, count_strict: bool,
-    threshold: int, cap: int,
+    threshold: int,
 ) -> ConditionReport:
     """Minimize the pair functional in the loop order of the module docstring.
     S = high | low runs the high part over submasks of V - D at or above vertex
-    PAIR_TABLE_BITS and the low part over tables, so memory is 2^PAIR_TABLE_BITS."""
-    _guard(g, lo, cap, "3^n")
+    PAIR_TABLE_BITS and the low part over tables built once per D.  The split is
+    for speed: a table over all of V - D costs more to rebuild for each D than
+    skip-heavy inputs spend in the loop itself."""
+    _guard(g, lo, PAIR_ENUM_CAP, "3^n")
     n, rows = g.n, g.rows
     full = (1 << n) - 1
     low_mask = (1 << min(n, PAIR_TABLE_BITS)) - 1
@@ -262,11 +263,9 @@ def _minimize_pairs(
     return _report(best, threshold, examined)
 
 
-def _minimize_subsets(
-    g: Graph, x: tuple[int, ...], y: tuple[int, ...], cap: int
-) -> ConditionReport:
+def _minimize_subsets(g: Graph, x: tuple[int, ...], y: tuple[int, ...]) -> ConditionReport:
     """Minimize the subset functional over every S; the verdict is value >= 0."""
-    _guard(g, x, cap, "2^n")
+    _guard(g, x, SUBSET_ENUM_CAP, "2^n")
     terms = _subset_terms(g, x, y)
     best = (sum(x) + 1, 0, 0)  # a value above every value of the functional
     for smask in range(1 << g.n):
@@ -279,13 +278,13 @@ def _minimize_subsets(
 # -- the six deciders ---------------------------------------------------------------
 
 
-def has_gf_factor(g: Graph, funcs: DegreeFunctions, cap: int = PAIR_ENUM_CAP) -> ConditionReport:
+def has_gf_factor(g: Graph, funcs: DegreeFunctions) -> ConditionReport:
     """(g, f)-factor existence: f(D) - g(S) + sum_{x in S} d_{G-D}(x) - q_hat >= 0
     over all disjoint D, S (witness slots hold D and S)."""
-    return _minimize_pairs(g, funcs.f, funcs.g, _strict_mask(funcs), False, 0, cap)
+    return _minimize_pairs(g, funcs.f, funcs.g, _strict_mask(funcs), False, 0)
 
 
-def has_all_gf_factors(g: Graph, funcs: DegreeFunctions, cap: int = PAIR_ENUM_CAP) -> ConditionReport:
+def has_all_gf_factors(g: Graph, funcs: DegreeFunctions) -> ConditionReport:
     """All-(g, f)-factors: g(D) - f(S) + sum_{x in S} d_{G-D}(x) - q_star >= -1
     (0 when g = f pointwise) over all disjoint D, S.
 
@@ -294,36 +293,30 @@ def has_all_gf_factors(g: Graph, funcs: DegreeFunctions, cap: int = PAIR_ENUM_CA
     the vacuous truth of the empty quantifier.
     """
     threshold = 0 if funcs.pointwise_equal else -1
-    return _minimize_pairs(g, funcs.g, funcs.f, _strict_mask(funcs), True, threshold, cap)
+    return _minimize_pairs(g, funcs.g, funcs.f, _strict_mask(funcs), True, threshold)
 
 
-def has_all_ab_factors(g: Graph, bounds: DegreeBounds, cap: int = PAIR_ENUM_CAP) -> ConditionReport:
+def has_all_ab_factors(g: Graph, bounds: DegreeBounds) -> ConditionReport:
     """All-[a, b]-factors (a < b): delta(S, T) >= -1 over all disjoint S, T."""
     if bounds.a >= bounds.b:
         raise ValueError("the all-[a,b]-factors characterization requires a < b")
-    return has_all_gf_factors(g, DegreeFunctions.constant(g.n, bounds.a, bounds.b), cap)
+    return has_all_gf_factors(g, DegreeFunctions.constant(g.n, bounds.a, bounds.b))
 
 
-def anstee_fractional_gf(
-    g: Graph, funcs: DegreeFunctions, cap: int = SUBSET_ENUM_CAP
-) -> ConditionReport:
+def anstee_fractional_gf(g: Graph, funcs: DegreeFunctions) -> ConditionReport:
     """Fractional (g, f)-factor existence: f(S) - g(T) + sum_{v in T} d_{G-S}(v) >= 0
     for every S, with T = {v not in S : d_{G-S}(v) < g(v)}."""
-    return _minimize_subsets(g, funcs.f, funcs.g, cap)
+    return _minimize_subsets(g, funcs.f, funcs.g)
 
 
-def lu_all_fractional_gf(
-    g: Graph, funcs: DegreeFunctions, cap: int = SUBSET_ENUM_CAP
-) -> ConditionReport:
+def lu_all_fractional_gf(g: Graph, funcs: DegreeFunctions) -> ConditionReport:
     """All fractional (g, f)-factors: g(S) - f(T) + sum_{x in T} d_{G-S}(x) >= 0
     for every S, with T = {v not in S : d_{G-S}(v) < f(v)}."""
-    return _minimize_subsets(g, funcs.g, funcs.f, cap)
+    return _minimize_subsets(g, funcs.g, funcs.f)
 
 
-def has_all_fractional_ab_factors(
-    g: Graph, bounds: DegreeBounds, cap: int = SUBSET_ENUM_CAP
-) -> ConditionReport:
+def has_all_fractional_ab_factors(g: Graph, bounds: DegreeBounds) -> ConditionReport:
     """All fractional [a, b]-factors (a < b): theta(S) >= 0 for every S."""
     if bounds.a >= bounds.b:
         raise ValueError("the all-fractional-[a,b]-factors characterization requires a < b")
-    return lu_all_fractional_gf(g, DegreeFunctions.constant(g.n, bounds.a, bounds.b), cap)
+    return lu_all_fractional_gf(g, DegreeFunctions.constant(g.n, bounds.a, bounds.b))

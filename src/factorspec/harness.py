@@ -117,18 +117,16 @@ def _sweep(fn: Callable, cases: list, workers: Optional[int]) -> list:
         return pool.map(fn, cases, chunksize=chunk)
 
 
-def _decide(g: Graph, a: int, b: int, mode: str, cap: Optional[int]) -> bool:
+def _decide(g: Graph, a: int, b: int, mode: str) -> bool:
     decider = has_all_ab_factors if mode == "integer" else has_all_fractional_ab_factors
-    kwargs = {} if cap is None else {"cap": cap}
-    return decider(g, DegreeBounds(a, b), **kwargs).verdict
+    return decider(g, DegreeBounds(a, b)).verdict
 
 
-def _mine_case(case: tuple[Graph, int, int, str, Optional[int]]) -> Optional[float]:
+def _mine_case(case: tuple[Graph, int, int, str]) -> Optional[float]:
     """rho of a graph that fails the property; None when it holds."""
-    g, a, b, mode, cap = case
-    if _decide(g, a, b, mode, cap):
+    if _decide(*case):
         return None
-    return spectral_radius(g).rho
+    return spectral_radius(case[0]).rho
 
 
 def _oracle(g: Graph, a: int, b: int, mode: str) -> bool:
@@ -139,8 +137,7 @@ def _oracle(g: Graph, a: int, b: int, mode: str) -> bool:
 
 
 def _suite_case(case: tuple[Graph, int, int, str]) -> tuple[bool, bool]:
-    g, a, b, mode = case
-    return (_decide(g, a, b, mode, None), _oracle(g, a, b, mode))
+    return (_decide(*case), _oracle(*case))
 
 
 # -- reports -------------------------------------------------------------------
@@ -203,7 +200,6 @@ def mine_extremal(
     bounds: DegreeBounds,
     mode: str,
     workers: Optional[int] = None,
-    cap: Optional[int] = None,
 ) -> MineReport:
     """Run the exact decider over a same-order catalog and report the
     spectral-radius maximizer among the failing graphs.
@@ -221,7 +217,7 @@ def mine_extremal(
     n = glist[0].n
     if any(g.n != n for g in glist):
         raise ValueError("mine_extremal requires all graphs to have the same order")
-    cases = [(g, bounds.a, bounds.b, mode, cap) for g in glist]
+    cases = [(g, bounds.a, bounds.b, mode) for g in glist]
     failing = [(rho, g) for rho, g in zip(_sweep(_mine_case, cases, workers), glist)
                if rho is not None]
     max_rho: Optional[float] = None

@@ -38,6 +38,19 @@ class TestCheck:
         assert data["verdict"] is False
         assert data["min_value"] == -1
 
+    def test_human_lines_match_json(self, capsys):
+        hnb = to_graph6(build_hnb(7, 3)).decode()
+        for mode in ("integer", "fractional"):
+            argv = ("check", "--g6", hnb, "--a", "1", "--b", "3", "--mode", mode)
+            code, out, _ = run(capsys, *argv)
+            assert code == 1
+            assert out.splitlines()[0] == "verdict: false"
+            human = dict(line.split(": ", 1) for line in out.splitlines())
+            data = json.loads(run(capsys, *argv, "--json")[1])
+            assert {key: json.loads(value) for key, value in human.items()} == {
+                key: value for key, value in data.items() if key not in ("schema", "mode")
+            }
+
     def test_edges_file(self, capsys, tmp_path):
         path = tmp_path / "tri.edges"
         path.write_text("# triangle\n3\n0 1\n1 2\n0 2\n")
@@ -303,6 +316,75 @@ class TestDenseOrderGuard:
     def test_closed_form_rho_is_not_guarded(self, capsys):
         code, out, _ = run(capsys, "rho", "--hnb", "100000,7")
         assert code == 0 and "rho(hnb(100000,7))" in out
+
+
+class TestEnumerationCaps:
+    """The decider caps are fixed: larger inputs are usage errors naming the
+    cap, and no flag lifts them."""
+
+    @pytest.mark.parametrize("n, mode, loop, cap", [
+        (17, "integer", "3^n", 16), (17, "gf", "3^n", 16), (23, "fractional", "2^n", 22),
+    ])
+    def test_above_cap(self, capsys, tmp_path, n, mode, loop, cap):
+        gfile, ffile = tmp_path / "g.txt", tmp_path / "f.txt"
+        gfile.write_text("1 " * n)
+        ffile.write_text("2 " * n)
+        demands = ["--g", str(gfile), "--f", str(ffile)] if mode == "gf" else ["--a", "1", "--b", "2"]
+        g6 = to_graph6(from_edge_list(n, [])).decode()
+        code, out, err = run(capsys, "check", "--g6", g6, "--mode", mode, *demands)
+        assert (code, out, err) == (2, "", f"error: n={n} exceeds the {loop} enumeration cap {cap}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--g6", "Bw", "--a", "1", "--b", "2"],
+        ["mine", "--input", "unused.g6", "--a", "1", "--b", "2", "--mode", "integer"],
+    ], ids=["check", "mine"])
+    def test_no_cap_flag(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--cap", "20"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --cap 20" in capsys.readouterr().err
+
+
+class TestParseErrors:
+    """Malformed numbers name their file and line, or their flag, and the bad token."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("3\n0 1\n0 1 2\n", "line 3: expected 'u v', got '0 1 2'"),
+        ("# comment\n3\n0 x\n", "line 3: 'x' is not an integer"),
+        ("three\n0 1\n", "line 1: 'three' is not an integer"),
+    ], ids=["three-values", "non-integer", "order"])
+    def test_edge_file(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.edges"
+        path.write_text(text)
+        code, out, err = run(capsys, "check", "--edges", str(path), "--a", "1", "--b", "2")
+        assert (code, out, err) == (2, "", f"error: edge file {path} {message}\n")
+
+    def test_vertex_function_file(self, capsys, tmp_path):
+        good, bad = tmp_path / "f.txt", tmp_path / "g.txt"
+        good.write_text("2 2 2\n")
+        bad.write_text("# g\n1 2 x\n")
+        code, out, err = run(capsys, "check", "--g6", "Bw", "--mode", "gf",
+                             "--g", str(bad), "--f", str(good))
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad} line 2: 'x' is not an integer\n"
+
+    def test_hnb_needs_two_values(self, capsys):
+        assert run(capsys, "rho", "--hnb", "5") == (2, "", "error: --hnb: expected N,B, got '5'\n")
+
+    def test_grid_pair(self, capsys, tmp_path):
+        path = tmp_path / "k3.g6"
+        path.write_text("Bw\n")
+        code, out, err = run(capsys, "suite", "--input", str(path), "--mode", "integer",
+                             "--grid", "1,2;3")
+        assert (code, out, err) == (2, "", "error: --grid: expected a,b, got '3'\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["quotient", "--n-grid", "10,x"], "--n-grid: 'x' is not an integer"),
+        (["quotient", "--b-grid", "2,3.5"], "--b-grid: '3.5' is not an integer"),
+        (["k1join", "--n-grid", "ten"], "--n-grid: 'ten' is not an integer"),
+    ], ids=["n-grid", "b-grid", "k1join"])
+    def test_int_list(self, capsys, argv, message):
+        assert run(capsys, "verify", *argv) == (2, "", f"error: {message}\n")
 
 
 class TestUsageErrors:

@@ -214,10 +214,8 @@ class TestAllAbFactors:
             has_all_ab_factors(k(4), DegreeBounds(2, 2))
 
     def test_cap(self):
-        with pytest.raises(CapExceededError):
+        with pytest.raises(CapExceededError, match=r"n=17 exceeds the 3\^n enumeration cap 16"):
             has_all_ab_factors(from_edge_list(17, []), DegreeBounds(1, 2))
-        # explicit cap raise lets it through
-        assert not has_all_ab_factors(from_edge_list(17, []), DegreeBounds(1, 2), cap=17).verdict
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
@@ -235,6 +233,37 @@ class TestAllAbFactors:
             lu_all_fractional_gf(k(4), funcs)
         with pytest.raises(ValueError):
             classify_components(k(4), (), (), funcs)
+
+
+class TestEnumerationCaps:
+    """The caps are read at call time, so lowering them keeps these tests small:
+    at 5, every decider runs at n = 5 and refuses n = 6, naming its loop."""
+
+    DECIDERS = (
+        (has_gf_factor, "funcs", "3^n"),
+        (has_all_gf_factors, "funcs", "3^n"),
+        (has_all_ab_factors, "bounds", "3^n"),
+        (anstee_fractional_gf, "funcs", "2^n"),
+        (lu_all_fractional_gf, "funcs", "2^n"),
+        (has_all_fractional_ab_factors, "bounds", "2^n"),
+    )
+
+    @pytest.fixture(autouse=True)
+    def caps_at_five(self, monkeypatch):
+        monkeypatch.setattr(conditions, "PAIR_ENUM_CAP", 5)
+        monkeypatch.setattr(conditions, "SUBSET_ENUM_CAP", 5)
+
+    @pytest.mark.parametrize("decide, arg, loop", DECIDERS,
+                             ids=[d.__name__ for d, _, _ in DECIDERS])
+    def test_boundary(self, decide, arg, loop):
+        for n in (5, 6):
+            bound = DegreeBounds(1, 2) if arg == "bounds" else DegreeFunctions.constant(n, 1, 2)
+            if n == 5:
+                assert decide(k(n), bound).verdict
+            else:
+                with pytest.raises(CapExceededError) as info:
+                    decide(k(n), bound)
+                assert str(info.value) == f"n=6 exceeds the {loop} enumeration cap 5"
 
 
 class TestFractionalDeciders:
@@ -269,6 +298,10 @@ class TestFractionalDeciders:
         assert not has_all_fractional_ab_factors(k(3), DegreeBounds(1, 2)).verdict
         report = has_all_fractional_ab_factors(build_hnb(9, 3), DegreeBounds(1, 3))
         assert not report.verdict
+
+    def test_cap(self):
+        with pytest.raises(CapExceededError, match=r"n=23 exceeds the 2\^n enumeration cap 22"):
+            has_all_fractional_ab_factors(from_edge_list(23, []), DegreeBounds(1, 2))
 
     def test_theta_decider_validation(self):
         with pytest.raises(ValueError):

@@ -197,7 +197,7 @@ class TestEquivalenceSuite:
         decide = harness._decide
         # deliberately wrong on every case
         monkeypatch.setattr(harness, "_decide",
-                            lambda g, a, b, mode, cap: not decide(g, a, b, mode, cap))
+                            lambda g, a, b, mode: not decide(g, a, b, mode))
         graphs = connected_graphs(4)
         report = equivalence_suite(graphs, [(1, 2)], "integer", nmax=4, workers=1)
         assert not report.passed
@@ -210,7 +210,7 @@ class TestEquivalenceSuite:
     def test_sweep_path_mismatch_names_its_graph(self, monkeypatch):
         from factorspec import has_all_ab_factors
 
-        monkeypatch.setattr(harness, "_decide", lambda g, a, b, mode, cap: True)
+        monkeypatch.setattr(harness, "_decide", lambda g, a, b, mode: True)
         report = equivalence_suite(connected_graphs(4), [(1, 2), (2, 3)], "integer",
                                    nmax=4, workers=1)
         assert report.mismatches
