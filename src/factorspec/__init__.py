@@ -51,7 +51,6 @@ from .harness import (
     load_graph6_file,
     mine_extremal,
     stream_graph6,
-    worker_count,
 )
 from .oracle import (
     all_ab_factors_oracle,

@@ -1,15 +1,21 @@
 """factorspec command line: exact factor checks, spectral radii, extremal
 constructions, verification sweeps, mining, and equivalence suites.
 
-Exit codes: 0 when the queried property holds (or the suite passed), 1 when
-it fails (or a mismatch was found), 2 on usage or input errors (a sweep that
-ran zero cases among them), 3 on an internal error (for example a spectral
-radius that could not be certified).
+Every command, and every ``verify`` target, accepts only the flags it reads;
+a flag that belongs to another mode, kind or target is a usage error.  The
+sweeps' tolerances are fixed (``harness.MARGIN``, ``HONG_TOL``,
+``QUOTIENT_TOL``); only their ranges are flags.
+
+Exit codes: 0 when the queried property holds (or the sweep or suite
+passed), 1 when it fails (or a counterexample or mismatch was found), 2 on
+usage or input errors (a sweep that ran zero cases among them), 3 on an
+internal error (for example a spectral radius that could not be certified).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -73,12 +79,19 @@ def _load_edges_file(path: str) -> Graph:
             where = f"edge file {path} line {lineno}"
             if n is None:
                 n = _ints([text], where)[0]
+                if n < 0:
+                    raise ValueError(f"{where}: order {n} is negative")
                 check_dense_order(n, f"edge file {path}")
                 continue
             tokens = text.split()
             if len(tokens) != 2:
                 raise ValueError(f"{where}: expected 'u v', got {text!r}")
-            edges.append(tuple(_ints(tokens, where)))
+            u, v = _ints(tokens, where)
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"{where}: edge ({u}, {v}) out of range for n={n}")
+            if u == v:
+                raise ValueError(f"{where}: loop ({u}, {v}) not allowed in a simple graph")
+            edges.append((u, v))
     if n is None:
         raise ValueError(f"edge file {path} is empty")
     return from_edge_list(n, edges)
@@ -135,6 +148,10 @@ def _condition_payload(report: ConditionReport) -> dict:
 
 
 def cmd_check(args) -> int:
+    if args.mode == "gf" and (args.a is not None or args.b is not None):
+        raise ValueError("--mode gf takes --g and --f, not --a or --b")
+    if args.mode != "gf" and (args.g or args.f):
+        raise ValueError(f"--mode {args.mode} takes --a and --b, not --g or --f")
     g = _load_graph(args)
     if args.mode == "gf":
         if not (args.g and args.f):
@@ -190,6 +207,8 @@ def cmd_rho(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    if args.kind != "g1" and args.a is not None:
+        raise ValueError(f"construct {args.kind} does not take --a")
     if args.kind == "hnb":
         g = build_hnb(args.n, args.b)
     elif args.kind == "g1":
@@ -209,22 +228,7 @@ def _int_list(text: str, flag: str) -> list[int]:
 
 
 def cmd_verify(args) -> int:
-    if args.target == "lemma24":
-        report = verify_hnb_witnesses(nmax=args.nmax)
-    elif args.target == "lemma23":
-        report = verify_g1_g2_bounds(amax=args.amax, bmax=args.bmax, margin=args.margin)
-    elif args.target == "hong":
-        if not args.input:
-            raise ValueError("verify hong needs --input FILE.g6")
-        tol = 1e-9 if args.tol is None else args.tol
-        report = verify_hong(_load_catalog(args), tol=tol)
-    elif args.target == "quotient":
-        tol = 1e-8 if args.tol is None else args.tol
-        report = verify_quotient_transfer(
-            ns=_int_list(args.n_grid, "--n-grid"), bs=_int_list(args.b_grid, "--b-grid"), tol=tol
-        )
-    else:  # k1join
-        report = verify_k1_join_bound(ns=_int_list(args.n_grid, "--n-grid"), margin=args.margin)
+    report = args.sweep(args)
     lines = [
         f"{report.name}: {'PASS' if report.passed else 'FAIL'} "
         f"({report.cases_run} cases, {len(report.failures)} failures, "
@@ -273,6 +277,7 @@ def cmd_suite(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="factorspec",
@@ -313,19 +318,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="run one verification sweep")
-    p.add_argument("target", choices=["lemma23", "lemma24", "hong", "quotient", "k1join"])
-    p.add_argument("--nmax", type=int, default=40, help="lemma24 grid bound")
-    p.add_argument("--amax", type=int, default=5, help="lemma23 grid bound")
-    p.add_argument("--bmax", type=int, default=5, help="lemma23 grid bound")
-    p.add_argument("--margin", type=float, default=1e-6, help="strict-inequality margin")
-    p.add_argument("--tol", type=float,
-                   help="agreement tolerance (default: 1e-9 for hong, 1e-8 for quotient)")
-    p.add_argument("--input", help="graph6 catalog (hong)")
-    p.add_argument("--n-grid", default="10,100,1000", help="orders (quotient/k1join)")
-    p.add_argument("--b-grid", default="2,3,5", help="b values (quotient)")
-    p.add_argument("--lenient", action="store_true", help="skip malformed catalog lines")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
+    targets = p.add_subparsers(dest="target", required=True)
+    # each sweep looks its harness function up when it runs, not when the
+    # (cached) parser is built
+    t = targets.add_parser("lemma24", help="hub witness values of hnb, exact")
+    t.add_argument("--nmax", type=int, default=40, help="largest order")
+    t.set_defaults(sweep=lambda args: verify_hnb_witnesses(args.nmax))
+    t = targets.add_parser("lemma23", help="g1/g2 charpoly signs and spectral bounds")
+    t.add_argument("--amax", type=int, default=5, help="largest a")
+    t.add_argument("--bmax", type=int, default=5, help="largest b")
+    t.set_defaults(sweep=lambda args: verify_g1_g2_bounds(args.amax, args.bmax))
+    t = targets.add_parser("hong", help="rho <= sqrt(2m - n + 1) on a catalog")
+    t.add_argument("--input", required=True, help="graph6 catalog")
+    t.add_argument("--lenient", action="store_true", help="skip malformed catalog lines")
+    t.set_defaults(sweep=lambda args: verify_hong(_load_catalog(args)))
+    t = targets.add_parser("quotient", help="quotient vs dense rho of hnb")
+    t.add_argument("--n-grid", default="10,100,1000", help="orders")
+    t.add_argument("--b-grid", default="2,3,5", help="b values")
+    t.set_defaults(sweep=lambda args: verify_quotient_transfer(
+        _int_list(args.n_grid, "--n-grid"), _int_list(args.b_grid, "--b-grid")))
+    t = targets.add_parser("k1join", help="hub-over-two-cliques rho < n - 2")
+    t.add_argument("--n-grid", default="10,100,1000", help="orders")
+    t.set_defaults(sweep=lambda args: verify_k1_join_bound(_int_list(args.n_grid, "--n-grid")))
+    for t in targets.choices.values():
+        t.add_argument("--json", action="store_true")
 
     p = sub.add_parser("mine", help="spectral-radius maximizer among failing graphs")
     p.add_argument("--input", required=True, help="graph6 catalog, one order")

@@ -41,6 +41,9 @@ from .spectral import charpoly_eval_3x3, hong_bound, leading_eigenvalue, quotien
 MODES = ("integer", "fractional")
 # mine_extremal treats spectral radii this close (relative) as equal
 RHO_TIE_REL = 1e-9
+MARGIN = 1e-6  # a strict bound rho < n - 2 in a sweep must hold by this much
+HONG_TOL = 1e-9  # verify_hong lets rho exceed Hong's bound by this much
+QUOTIENT_TOL = 1e-8  # quotient and dense rho(hnb) must agree within this
 
 
 def stream_graph6(
@@ -89,23 +92,14 @@ def available_parallelism() -> int:
         return os.cpu_count() or 1
 
 
-def worker_count() -> int:
-    """``FACTORSPEC_WORKERS`` clamped to [1, available parallelism]."""
-    limit = available_parallelism()
-    env = os.environ.get("FACTORSPEC_WORKERS")
-    if env:
-        return min(max(1, int(env)), limit)
-    return limit
-
-
 def _sweep(fn: Callable, cases: list, workers: Optional[int]) -> list:
     """Order-preserving map, parallel when it pays off; output is identical
-    to the sequential run by construction.  Only a pool that cannot be
-    created falls back to serial; errors raised by tasks propagate."""
-    if workers is None:
-        n_workers = worker_count()
-    else:
-        n_workers = min(max(1, workers), available_parallelism())
+    to the sequential run by construction.  ``workers`` (default: the
+    available parallelism) is clamped to [1, available parallelism].  Only a
+    pool that cannot be created falls back to serial; errors raised by tasks
+    propagate."""
+    limit = available_parallelism()
+    n_workers = limit if workers is None else min(max(1, workers), limit)
     if n_workers <= 1 or len(cases) < 4:
         return [fn(case) for case in cases]
     try:
@@ -291,29 +285,29 @@ def _verify_report(name: str, cases: int, failures: list[dict], t0: float) -> Ve
     return VerifyReport(name, cases, failures, time.perf_counter() - t0)
 
 
-def verify_hnb_witnesses(nmax: int = 40) -> VerifyReport:
-    """Witness values at the hub of hnb: exactly -2 (integer) and -1
-    (fractional) for every 3 <= b < n <= nmax."""
+def verify_hnb_witnesses(nmax: int) -> VerifyReport:
+    """The deficiency functional at S = {} and T = the hub of hnb: exactly -2
+    (integer) and -1 (fractional, where the hub is the T the functional
+    derives) for every 3 <= b < n <= nmax."""
     t0 = time.perf_counter()
     cases = 0
     failures = []
     for n in range(4, nmax + 1):
         for b in range(3, n):
-            cases += 1
-            value = hnb_witness(n, b, "integer").min_value
-            if value != -2:
-                failures.append({"n": n, "b": b, "mode": "integer", "value": value})
-            if b <= n - 2:
+            for mode, expected in (("integer", -2), ("fractional", -1)):
+                if mode == "fractional" and b > n - 2:
+                    continue  # the fractional witness needs b <= n - 2
                 cases += 1
-                value = hnb_witness(n, b, "fractional").min_value
-                if value != -1:
-                    failures.append({"n": n, "b": b, "mode": "fractional", "value": value})
+                value, witness_t = hnb_witness(n, b, mode)
+                if value != expected or witness_t != {0}:
+                    failures.append({"n": n, "b": b, "mode": mode, "value": value,
+                                     "witness_T": sorted(witness_t)})
     return _verify_report("hnb-witnesses", cases, failures, t0)
 
 
-def verify_g1_g2_bounds(amax: int = 5, bmax: int = 5, margin: float = 1e-6) -> VerifyReport:
+def verify_g1_g2_bounds(amax: int, bmax: int) -> VerifyReport:
     """At the minimum claimed order: exact characteristic-polynomial signs for
-    the g1 quotient, and rho(g1), rho(g2) < n - 2 - margin."""
+    the g1 quotient, and rho(g1), rho(g2) < n - 2 - MARGIN."""
     t0 = time.perf_counter()
     cases = 0
     failures = []
@@ -332,17 +326,17 @@ def verify_g1_g2_bounds(amax: int = 5, bmax: int = 5, margin: float = 1e-6) -> V
                 fail["f_nm3"] = str(f_nm3)
             rho1 = spectral_radius(build_g1(a, b, n)).rho
             rho2 = spectral_radius(build_g2(b, n)).rho
-            if not rho1 < n - 2 - margin:
+            if not rho1 < n - 2 - MARGIN:
                 fail["rho_g1"] = rho1
-            if not rho2 < n - 2 - margin:
+            if not rho2 < n - 2 - MARGIN:
                 fail["rho_g2"] = rho2
             if fail:
                 failures.append({"a": a, "b": b, "n": n, **fail})
     return _verify_report("g1-g2-spectral-bounds", cases, failures, t0)
 
 
-def verify_hong(graphs: Iterable[Graph], tol: float = 1e-9) -> VerifyReport:
-    """rho(G) <= sqrt(2m - n + 1) + tol on every connected graph supplied."""
+def verify_hong(graphs: Iterable[Graph]) -> VerifyReport:
+    """rho(G) <= sqrt(2m - n + 1) + HONG_TOL on every connected graph supplied."""
     t0 = time.perf_counter()
     cases = 0
     failures = []
@@ -352,18 +346,14 @@ def verify_hong(graphs: Iterable[Graph], tol: float = 1e-9) -> VerifyReport:
         cases += 1
         rho = spectral_radius(g).rho
         bound = hong_bound(g)
-        if rho > bound + tol:
+        if rho > bound + HONG_TOL:
             failures.append({"graph6": to_graph6(g).decode("ascii"), "rho": rho, "bound": bound})
     return _verify_report("hong-bound", cases, failures, t0)
 
 
-def verify_quotient_transfer(
-    ns: Sequence[int] = (10, 100, 1000),
-    bs: Sequence[int] = (2, 3, 5),
-    tol: float = 1e-8,
-) -> VerifyReport:
-    """Quotient leading eigenvalue equals the dense spectral radius for hnb,
-    and n - 2 < rho < n - 1 in every case."""
+def verify_quotient_transfer(ns: Sequence[int], bs: Sequence[int]) -> VerifyReport:
+    """Quotient leading eigenvalue equals the dense spectral radius for hnb
+    within QUOTIENT_TOL, and n - 2 < rho < n - 1 in every case."""
     t0 = time.perf_counter()
     cases = 0
     failures = []
@@ -376,7 +366,7 @@ def verify_quotient_transfer(
             via_quotient = leading_eigenvalue(quotient_matrix(g, hnb_partition(n, b)))
             dense = spectral_radius(g).rho
             fail: dict = {}
-            if abs(via_quotient - dense) > tol:
+            if abs(via_quotient - dense) > QUOTIENT_TOL:
                 fail["quotient"] = via_quotient
                 fail["dense"] = dense
             if not n - 2 < via_quotient < n - 1:
@@ -386,10 +376,8 @@ def verify_quotient_transfer(
     return _verify_report("quotient-transfer", cases, failures, t0)
 
 
-def verify_k1_join_bound(
-    ns: Sequence[int] = (10, 20, 50, 100), margin: float = 1e-6
-) -> VerifyReport:
-    """rho(K_1 joined to (K_r u K_{n-1-r})) < n - 2 - margin for 2 <= r <= n-3."""
+def verify_k1_join_bound(ns: Sequence[int]) -> VerifyReport:
+    """rho(K_1 joined to (K_r u K_{n-1-r})) < n - 2 - MARGIN for 2 <= r <= n-3."""
     t0 = time.perf_counter()
     cases = 0
     failures = []
@@ -397,7 +385,7 @@ def verify_k1_join_bound(
         for r in range(2, n - 2):
             cases += 1
             rho = rho_k1_join_cliques(n, r)
-            if not rho < n - 2 - margin:
+            if not rho < n - 2 - MARGIN:
                 failures.append({"n": n, "r": r, "rho": rho})
     return _verify_report("hub-two-cliques-bound", cases, failures, t0)
 

@@ -43,7 +43,7 @@ def test_c01_hub_witness_values_exact():
 
 
 def test_c02_g1_g2_polynomial_signs_and_spectral_bounds():
-    report = verify_g1_g2_bounds(amax=5, bmax=5, margin=1e-6)
+    report = verify_g1_g2_bounds(amax=5, bmax=5)
     assert report.passed, report.failures[:5]
     assert report.elapsed < 30.0, f"took {report.elapsed:.2f}s, budget 30s"
     print(f"PASS criterion 2: exact charpoly signs and rho < n-2-1e-6 on "
@@ -88,7 +88,7 @@ def test_c05_interval_specialization_of_the_gf_decider():
 
 def test_c06_edge_bound_on_all_connected_order_8():
     t0 = time.perf_counter()
-    report = verify_hong(connected_up_to(8), tol=1e-9)
+    report = verify_hong(connected_up_to(8))
     assert report.cases_run == 996 + 11117
     assert report.passed, report.failures[:5]
     print(f"PASS criterion 6: rho <= sqrt(2m-n+1)+1e-9 on {report.cases_run} graphs "
@@ -96,7 +96,7 @@ def test_c06_edge_bound_on_all_connected_order_8():
 
 
 def test_c07_quotient_eigenvalue_transfer():
-    report = verify_quotient_transfer(ns=(10, 100, 1000), bs=(2, 3, 5), tol=1e-8)
+    report = verify_quotient_transfer(ns=(10, 100, 1000), bs=(2, 3, 5))
     assert report.cases_run == 9
     assert report.passed, report.failures
     print(f"PASS criterion 7: quotient route == dense route within 1e-8 and "
@@ -104,7 +104,7 @@ def test_c07_quotient_eigenvalue_transfer():
 
 
 def test_c08_hub_two_cliques_stay_below_n_minus_2():
-    report = verify_k1_join_bound(ns=(10, 20, 50, 100), margin=1e-6)
+    report = verify_k1_join_bound(ns=(10, 20, 50, 100))
     assert report.passed, report.failures[:5]
     assert report.elapsed < 30.0, f"took {report.elapsed:.2f}s, budget 30s"
     # quotient route spot-checked against dense iteration at the smallest order

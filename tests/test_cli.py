@@ -6,7 +6,7 @@ import pytest
 
 from factorspec import build_hnb, complete, from_edge_list, graph, spectral, to_graph6
 from factorspec.cli import main
-from catalogs import connected_graphs
+from catalogs import CACHE_DIR, connected_graphs
 
 
 def run(capsys, *argv):
@@ -82,6 +82,20 @@ class TestCheck:
         code, _, err = run(capsys, "check", "--g6", "Bw")
         assert code == 2
 
+    def test_gf_files_outside_gf_mode(self, capsys):
+        code, out, err = run(capsys, "check", "--g6", "Bw", "--a", "1", "--b", "2",
+                             "--g", "/nonexistent")
+        assert (code, out, err) == (
+            2, "", "error: --mode integer takes --a and --b, not --g or --f\n")
+
+    def test_bounds_in_gf_mode(self, capsys, tmp_path):
+        gfile, ffile = tmp_path / "g.txt", tmp_path / "f.txt"
+        gfile.write_text("1 1 1\n")
+        ffile.write_text("2 2 2\n")
+        code, out, err = run(capsys, "check", "--g6", "Bw", "--mode", "gf",
+                             "--g", str(gfile), "--f", str(ffile), "--a", "1")
+        assert (code, out, err) == (2, "", "error: --mode gf takes --g and --f, not --a or --b\n")
+
 
 class TestRho:
     def test_hnb_json(self, capsys):
@@ -153,6 +167,11 @@ class TestConstruct:
         data = json.loads(out)
         assert code == 0 and data["n"] == 12
 
+    @pytest.mark.parametrize("kind", ["hnb", "g2"])
+    def test_a_only_for_g1(self, capsys, kind):
+        code, out, err = run(capsys, "construct", kind, "--n", "12", "--b", "2", "--a", "99")
+        assert (code, out, err) == (2, "", f"error: construct {kind} does not take --a\n")
+
 
 class TestVerify:
     def test_lemma24(self, capsys):
@@ -179,8 +198,47 @@ class TestVerify:
         assert "zero cases" in err
 
     def test_hong_needs_input(self, capsys):
-        code, _, err = run(capsys, "verify", "hong")
-        assert code == 2
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "hong"])
+        assert info.value.code == 2
+        assert "required: --input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["lemma24", "--tol", "1e-3"],
+        ["lemma24", "--input", "x.g6"],
+        ["k1join", "--b-grid", "2"],
+    ], ids=["tol", "input", "b-grid"])
+    def test_other_targets_flags_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", *argv])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+    def test_lemma24_counterexample_exits_1(self, capsys, monkeypatch):
+        from factorspec import extremal
+
+        monkeypatch.setattr(extremal, "delta", lambda *args: -3)
+        code, out, err = run(capsys, "verify", "lemma24", "--nmax", "5")
+        assert code == 1 and err == ""
+        lines = out.splitlines()
+        assert lines[0].startswith("hnb-witnesses: FAIL (4 cases, 3 failures, ")
+        assert lines[1:] == [
+            f"  failure: {{'n': {n}, 'b': {b}, 'mode': 'integer', 'value': -3, 'witness_T': [0]}}"
+            for n, b in [(4, 3), (5, 3), (5, 4)]
+        ]
+
+    @pytest.mark.parametrize("argv, cases, name", [
+        (["lemma24"], 1369, "hnb-witnesses"),
+        (["lemma23"], 15, "g1-g2-spectral-bounds"),
+        (["quotient"], 9, "quotient-transfer"),
+        (["k1join"], 1098, "hub-two-cliques-bound"),
+        (["hong", "--input", str(CACHE_DIR / "graphs7.g6")], 853, "hong-bound"),
+    ], ids=["lemma24", "lemma23", "quotient", "k1join", "hong"])
+    def test_golden_defaults(self, capsys, argv, cases, name):
+        code, out, err = run(capsys, "verify", *argv, "--json")
+        assert (code, err) == (0, "")
+        assert out == (f'{{"cases_run": {cases}, "failures": [], "name": "{name}", '
+                       '"schema": 1}\n')
 
     def test_hong_with_catalog(self, capsys, tmp_path):
         path = tmp_path / "cat.g6"
@@ -352,7 +410,10 @@ class TestParseErrors:
         ("3\n0 1\n0 1 2\n", "line 3: expected 'u v', got '0 1 2'"),
         ("# comment\n3\n0 x\n", "line 3: 'x' is not an integer"),
         ("three\n0 1\n", "line 1: 'three' is not an integer"),
-    ], ids=["three-values", "non-integer", "order"])
+        ("3\n0 9\n", "line 2: edge (0, 9) out of range for n=3"),
+        ("3\n1 1\n", "line 2: loop (1, 1) not allowed in a simple graph"),
+        ("-1\n", "line 1: order -1 is negative"),
+    ], ids=["three-values", "non-integer", "order", "out-of-range", "loop", "negative-order"])
     def test_edge_file(self, capsys, tmp_path, text, message):
         path = tmp_path / "bad.edges"
         path.write_text(text)

@@ -29,7 +29,6 @@ from factorspec.harness import (
     verify_hong,
     verify_k1_join_bound,
     verify_quotient_transfer,
-    worker_count,
 )
 from catalogs import connected_graphs
 
@@ -238,11 +237,11 @@ class TestVerifySweeps:
         assert report.passed and report.cases_run == len(connected_graphs(5))
 
     def test_quotient_transfer(self):
-        report = verify_quotient_transfer(ns=(10, 40), bs=(2, 3), tol=1e-8)
+        report = verify_quotient_transfer(ns=(10, 40), bs=(2, 3))
         assert report.passed and report.cases_run == 4
 
     def test_k1_join(self):
-        report = verify_k1_join_bound(ns=(10, 20), margin=1e-6)
+        report = verify_k1_join_bound(ns=(10, 20))
         assert report.passed and report.cases_run == (10 - 4) + (20 - 4)
 
 
@@ -309,26 +308,32 @@ class FakePool:
 
 class TestWorkerCount:
     def test_env_override(self, monkeypatch):
+        # ``workers=`` is the only override; FACTORSPEC_WORKERS is not read.
         pin_cpus(monkeypatch, 8)
+        ctx = FakeContext()
+        monkeypatch.setattr(harness.multiprocessing, "get_context", lambda: ctx)
         monkeypatch.setenv("FACTORSPEC_WORKERS", "3")
-        assert worker_count() == 3
+        assert harness._sweep(abs, [-1, -2, -3, -4], None) == [1, 2, 3, 4]
+        assert harness._sweep(abs, [-1, -2, -3, -4], 5) == [1, 2, 3, 4]
         monkeypatch.setenv("FACTORSPEC_WORKERS", "0")
-        assert worker_count() == 1
-        monkeypatch.delenv("FACTORSPEC_WORKERS")
-        assert worker_count() >= 1
+        assert harness._sweep(abs, [-1, -2, -3, -4], 3) == [1, 2, 3, 4]
+        assert ctx.sizes == [8, 5, 3]
 
     def test_env_clamped_to_affinity(self, monkeypatch):
         pin_cpus(monkeypatch, 3)
+        ctx = FakeContext()
+        monkeypatch.setattr(harness.multiprocessing, "get_context", lambda: ctx)
         monkeypatch.setenv("FACTORSPEC_WORKERS", "100000")
-        assert worker_count() == 3
+        assert harness.available_parallelism() == 3
+        assert harness._sweep(abs, [-1, -2, -3, -4], None) == [1, 2, 3, 4]
         monkeypatch.delenv("FACTORSPEC_WORKERS")
-        assert worker_count() == 3
+        assert harness._sweep(abs, [-1, -2, -3, -4], 100000) == [1, 2, 3, 4]
+        assert ctx.sizes == [3, 3]
 
     def test_cpu_count_fallback(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 5)
-        monkeypatch.setenv("FACTORSPEC_WORKERS", "64")
-        assert worker_count() == 5
+        assert harness.available_parallelism() == 5
 
 
 class TestSweepPool:
@@ -337,8 +342,8 @@ class TestSweepPool:
         ctx = FakeContext()
         monkeypatch.setattr(harness.multiprocessing, "get_context", lambda: ctx)
         assert harness._sweep(abs, [-1, -2, -3, -4], 100000) == [1, 2, 3, 4]
-        monkeypatch.setenv("FACTORSPEC_WORKERS", "100000")
         assert harness._sweep(abs, [-1, -2, -3, -4], None) == [1, 2, 3, 4]
+        assert harness._sweep(abs, [-1, -2, -3, -4], 0) == [1, 2, 3, 4]  # serial, no pool
         assert ctx.sizes == [2, 2]
 
     def test_pool_creation_failure_falls_back_to_serial(self, monkeypatch):
