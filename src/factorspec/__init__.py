@@ -22,10 +22,7 @@ from .extremal import (
     build_g2,
     build_hnb,
     build_k1_join_cliques,
-    g1_partition,
-    g2_partition,
     g12_min_order,
-    hnb_partition,
     hnb_witness,
     is_hnb,
     rho_hnb,
@@ -60,12 +57,8 @@ from .oracle import (
 )
 from .spectral import (
     ConvergenceError,
-    QuotientMatrix,
     SpectralResult,
-    charpoly_eval_3x3,
     hong_bound,
-    leading_eigenvalue,
-    quotient_matrix,
     spectral_radius,
 )
 

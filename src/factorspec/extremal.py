@@ -2,17 +2,17 @@
 
 All three named constructions are joins of a clique with a disjoint union of
 two cliques.  The canonical vertex layout is always [special block | join
-clique | tail clique], which keeps witnesses, graph6 records, and quotient
-partitions byte-stable across runs.
+clique | tail clique], which keeps witnesses and graph6 records byte-stable
+across runs.  The three blocks form an equitable partition, so the largest
+root of its quotient polynomial (``layout_charpoly``) is the spectral radius
+of the connected join (Brouwer and Haemers, Spectra of Graphs, 2012, 2.3).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .conditions import DegreeBounds, delta, theta
 from .graph import Graph, check_dense_order
-from .spectral import QuotientMatrix, leading_eigenvalue
+from .spectral import _poly_eval, largest_root
 
 
 def _ceil_div(p: int, q: int) -> int:
@@ -40,23 +40,13 @@ def _clique_join_layout(first: int, join: int, tail: int) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def _layout_partition(first: int, join: int, tail: int) -> list[range]:
-    return [
-        range(0, first),
-        range(first, first + join),
-        range(first + join, first + join + tail),
-    ]
-
-
-def _layout_quotient(first: int, join: int, tail: int) -> QuotientMatrix:
-    """The (always equitable) 3-part quotient of a two-clique join, in closed form."""
-    f = Fraction
-    entries = (
-        (f(first - 1), f(join), f(0)),
-        (f(first), f(join - 1), f(tail)),
-        (f(0), f(join), f(tail - 1)),
-    )
-    return QuotientMatrix(entries, (first, join, tail), equitable=True)
+def layout_charpoly(first: int, join: int, tail: int) -> tuple[int, int, int, int]:
+    """Coefficients, highest power first, of det(xI - B) for the quotient
+    B = [[first-1, join, 0], [first, join-1, tail], [0, join, tail-1]] of the
+    layout.  Every row sum is at most n - 1, so every root is at most n - 1."""
+    n = first + join + tail
+    ft = first * tail
+    return (1, 3 - n, ft - 2 * n + 3, ft * (join + 1) + 1 - n)
 
 
 # -- H_{n,b}: the near-complete graph with one low-degree hub ------------------
@@ -69,25 +59,20 @@ def build_hnb(n: int, b: int) -> Graph:
     return _clique_join_layout(1, b - 1, n - b)
 
 
-def hnb_partition(n: int, b: int) -> list[range]:
-    """The equitable 3-part partition [{hub}, join clique, tail clique]."""
-    if not 2 <= b <= n - 1:
-        raise ValueError(f"hnb needs 2 <= b <= n-1, got n={n}, b={b}")
-    return _layout_partition(1, b - 1, n - b)
-
-
 def rho_hnb(n: int, b: int) -> float:
-    """Spectral radius of hnb via the exact 3x3 quotient; always in (n-2, n-1).
+    """Spectral radius of hnb via its quotient polynomial p; always in (n-2, n-1).
 
-    Works straight from the closed-form quotient, so it stays cheap for
-    orders far beyond what dense iteration can touch.
+    Works straight from the closed form, so it stays cheap for orders far
+    beyond what dense iteration can touch.  The range is decided exactly, by
+    p(n-2) < 0 < p(n-1), because at large n (3 * 10^5 for b = 2) the float
+    root rounds to n - 2 itself.
     """
     if not 2 <= b <= n - 1:
         raise ValueError(f"hnb needs 2 <= b <= n-1, got n={n}, b={b}")
-    rho = leading_eigenvalue(_layout_quotient(1, b - 1, n - b))
-    if not n - 2 < rho < n - 1:  # pragma: no cover - sanity guard
-        raise RuntimeError(f"rho_hnb({n}, {b}) = {rho} escaped (n-2, n-1)")
-    return rho
+    coeffs = layout_charpoly(1, b - 1, n - b)
+    if not _poly_eval(coeffs, n - 2) < 0 < _poly_eval(coeffs, n - 1):  # pragma: no cover
+        raise RuntimeError(f"rho_hnb({n}, {b}) escaped (n-2, n-1)")
+    return largest_root(coeffs, n - 1)
 
 
 def is_hnb(g: Graph, b: int) -> bool:
@@ -142,13 +127,6 @@ def build_g1(a: int, b: int, n: int) -> Graph:
     return _clique_join_layout(2, c, tail)
 
 
-def g1_partition(a: int, b: int, n: int) -> list[range]:
-    c = g1_join_size(a, b)
-    if n - c - 2 < 1:
-        raise ValueError(f"g1 needs n >= {c + 3} for a={a}, b={b}, got n={n}")
-    return _layout_partition(2, c, n - c - 2)
-
-
 def build_g2(b: int, n: int) -> Graph:
     """The join of K_{4b} with (K_2 u K_{n-4b-2})."""
     if b < 1:
@@ -156,12 +134,6 @@ def build_g2(b: int, n: int) -> Graph:
     if n < 4 * b + 3:
         raise ValueError(f"g2 needs n >= 4b+3 = {4 * b + 3}, got n={n}")
     return _clique_join_layout(2, 4 * b, n - 4 * b - 2)
-
-
-def g2_partition(b: int, n: int) -> list[range]:
-    if b < 1 or n < 4 * b + 3:
-        raise ValueError(f"g2 needs b >= 1 and n >= 4b+3, got b={b}, n={n}")
-    return _layout_partition(2, 4 * b, n - 4 * b - 2)
 
 
 def g12_min_order(a: int, b: int) -> int:
@@ -182,10 +154,10 @@ def build_k1_join_cliques(n: int, r: int) -> Graph:
 
 
 def rho_k1_join_cliques(n: int, r: int) -> float:
-    """Spectral radius of the hub-over-two-cliques join, via its 3x3 quotient."""
+    """Spectral radius of the hub-over-two-cliques join, via its quotient polynomial."""
     if not 1 <= r <= n - 2:
         raise ValueError(f"need 1 <= r <= n-2, got n={n}, r={r}")
-    return leading_eigenvalue(_layout_quotient(r, 1, n - 1 - r))
+    return largest_root(layout_charpoly(r, 1, n - 1 - r), n - 1)
 
 
 # -- main-theorem order thresholds ---------------------------------------------

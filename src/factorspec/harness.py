@@ -24,19 +24,18 @@ from .conditions import (
 from .extremal import (
     build_g1,
     build_g2,
-    g1_partition,
     g12_min_order,
     g1_join_size,
-    hnb_partition,
     build_hnb,
     hnb_witness,
     is_hnb,
+    layout_charpoly,
     rho_hnb,
     rho_k1_join_cliques,
 )
 from .graph import GRAPH6_HEADER, Graph, Graph6Error, is_connected, parse_graph6, to_graph6
 from .oracle import all_ab_factors_oracle, all_fractional_oracle
-from .spectral import charpoly_eval_3x3, hong_bound, leading_eigenvalue, quotient_matrix, spectral_radius
+from .spectral import _poly_eval, hong_bound, spectral_radius
 
 MODES = ("integer", "fractional")
 # mine_extremal treats spectral radii this close (relative) as equal
@@ -306,8 +305,8 @@ def verify_hnb_witnesses(nmax: int) -> VerifyReport:
 
 
 def verify_g1_g2_bounds(amax: int, bmax: int) -> VerifyReport:
-    """At the minimum claimed order: exact characteristic-polynomial signs for
-    the g1 quotient, and rho(g1), rho(g2) < n - 2 - MARGIN."""
+    """At the minimum claimed order: exact signs of the g1 quotient
+    polynomial, and rho(g1), rho(g2) < n - 2 - MARGIN."""
     t0 = time.perf_counter()
     cases = 0
     failures = []
@@ -316,10 +315,10 @@ def verify_g1_g2_bounds(amax: int, bmax: int) -> VerifyReport:
             n = g12_min_order(a, b)
             cases += 1
             fail: dict = {}
-            bq = quotient_matrix(build_g1(a, b, n), g1_partition(a, b, n))
             c = g1_join_size(a, b)
-            f_nm2 = charpoly_eval_3x3(bq, n - 2)
-            f_nm3 = charpoly_eval_3x3(bq, n - 3)
+            coeffs = layout_charpoly(2, c, n - c - 2)
+            f_nm2 = _poly_eval(coeffs, n - 2)
+            f_nm3 = _poly_eval(coeffs, n - 3)
             if not (f_nm2 > 0):
                 fail["f_nm2"] = str(f_nm2)
             if f_nm3 != -2 * c * c or not (f_nm3 < 0):
@@ -352,8 +351,8 @@ def verify_hong(graphs: Iterable[Graph]) -> VerifyReport:
 
 
 def verify_quotient_transfer(ns: Sequence[int], bs: Sequence[int]) -> VerifyReport:
-    """Quotient leading eigenvalue equals the dense spectral radius for hnb
-    within QUOTIENT_TOL, and n - 2 < rho < n - 1 in every case."""
+    """The closed-form rho_hnb equals the dense spectral radius of the built
+    hnb within QUOTIENT_TOL, and n - 2 < rho < n - 1 in every case."""
     t0 = time.perf_counter()
     cases = 0
     failures = []
@@ -362,9 +361,8 @@ def verify_quotient_transfer(ns: Sequence[int], bs: Sequence[int]) -> VerifyRepo
             if not 2 <= b <= n - 1:
                 continue
             cases += 1
-            g = build_hnb(n, b)
-            via_quotient = leading_eigenvalue(quotient_matrix(g, hnb_partition(n, b)))
-            dense = spectral_radius(g).rho
+            via_quotient = rho_hnb(n, b)
+            dense = spectral_radius(build_hnb(n, b)).rho
             fail: dict = {}
             if abs(via_quotient - dense) > QUOTIENT_TOL:
                 fail["quotient"] = via_quotient

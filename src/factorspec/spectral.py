@@ -7,11 +7,11 @@ a direct symmetric eigensolve (``numpy.linalg.eigh``) when k is at most
 ``DIRECT_MAX_ORDER``, and power iteration on A + I above it, whose working
 memory is the matrix itself.  Either route certifies its value: the l2
 residual of the returned unit vector bounds the eigenvalue error, and it must
-be at most ``tol``.
+be at most ``RHO_TOL``.
 
-Also here: Hong's edge bound for connected graphs, quotient matrices of
-vertex partitions with an equitability check, and exact leading-root
-extraction for quotients of size at most 3.
+Also here: Hong's edge bound for connected graphs, and the exact largest
+root of an integer polynomial, which ``extremal`` applies to the closed-form
+quotient polynomials of its clique joins.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph, check_dense_order, component_masks, is_connected, iter_bits, mask_of
+from .graph import Graph, check_dense_order, component_masks, is_connected, iter_bits
 
 # Components of at most this order go to the direct eigensolver: up to 64,
 # eigh costs under a millisecond, where iteration on a small spectral gap (a
@@ -32,9 +32,14 @@ from .graph import Graph, check_dense_order, component_masks, is_connected, iter
 # components converge in about ten iterations, so large ones keep iterating.
 DIRECT_MAX_ORDER = 64
 
+# Certified bound on the l2 residual, so on the error of every radius.  Double
+# precision can certify about 4 eps max(1, max degree), which is at most
+# 3.6e-12 for the orders MAX_DENSE_ORDER admits.
+RHO_TOL = 1e-10
+
 
 class ConvergenceError(RuntimeError):
-    """Could not certify rho within tol; ``best`` holds the best estimate."""
+    """Could not certify rho within RHO_TOL; ``best`` holds the best estimate."""
 
     def __init__(self, message: str, best: "SpectralResult"):
         super().__init__(message)
@@ -100,21 +105,17 @@ def _adjacency_bits(g: Graph) -> np.ndarray:
     )
 
 
-def spectral_radius(g: Graph, tol: float = 1e-10) -> SpectralResult:
+def spectral_radius(g: Graph) -> SpectralResult:
     """Largest adjacency eigenvalue; maximum over components when disconnected.
 
-    Raises ``ValueError`` above ``MAX_DENSE_ORDER`` vertices and when ``tol``
-    is below what double precision can certify, 4 eps max(1, max degree) (the
-    maximum degree bounds the norm of the adjacency matrix), and
+    Raises ``ValueError`` above ``MAX_DENSE_ORDER`` vertices, and
     ``ConvergenceError`` when a component's value cannot be certified within
-    ``tol`` on its route.
+    ``RHO_TOL`` on its route.
     """
     if g.n < 1:
         raise ValueError("spectral radius needs at least one vertex")
     check_dense_order(g.n, "graph")
-    floor = 4 * np.finfo(np.float64).eps * max(1, max(row.bit_count() for row in g.rows))
-    if not tol >= floor:  # also rejects nan
-        raise ValueError(f"tolerance {tol:g} is below the certifiable {floor:.3g} for this graph")
+    tol = RHO_TOL
     bits = _adjacency_bits(g)
     # isolated vertices contribute eigenvalue 0, on the direct route's side
     best_rho, best_res, best_method = 0.0, 0.0, "dense-eigh"
@@ -153,108 +154,18 @@ def hong_bound(g: Graph) -> float:
     return math.sqrt(2 * g.edge_count() - g.n + 1)
 
 
-@dataclass(frozen=True)
-class QuotientMatrix:
-    """k x k average-neighbour-count matrix of a vertex partition."""
-
-    entries: tuple[tuple[Fraction, ...], ...]
-    part_sizes: tuple[int, ...]
-    equitable: bool
-
-    @property
-    def k(self) -> int:
-        return len(self.part_sizes)
-
-    def __post_init__(self) -> None:
-        k = len(self.part_sizes)
-        if len(self.entries) != k or any(len(row) != k for row in self.entries):
-            raise ValueError("entries must be a k x k matrix")
-        if any(s <= 0 for s in self.part_sizes):
-            raise ValueError("part sizes must be positive")
-        for i in range(k):
-            for j in range(k):
-                if self.entries[i][j] < 0:
-                    raise ValueError("quotient entries must be nonnegative")
-                # both count the edges between parts i and j
-                if self.part_sizes[i] * self.entries[i][j] != self.part_sizes[j] * self.entries[j][i]:
-                    raise ValueError(f"edge-count symmetry violated between parts {i} and {j}")
-
-    def row_sums(self) -> tuple[Fraction, ...]:
-        return tuple(sum(row, Fraction(0)) for row in self.entries)
+# -- exact largest roots of integer polynomials --------------------------------
 
 
-def quotient_matrix(g: Graph, parts: Sequence[Iterable[int]]) -> QuotientMatrix:
-    """Quotient of A(G) with respect to a partition of V(G).
-
-    Entry (i, j) is the average number of neighbours a part-i vertex has in
-    part j; the partition is equitable when that count is the same for every
-    vertex of part i, for all (i, j).
-    """
-    masks = [mask_of(p, g.n) for p in parts]
-    if any(m == 0 for m in masks):
-        raise ValueError("partition parts must be nonempty")
-    union = 0
-    for m in masks:
-        if union & m:
-            raise ValueError("partition parts must be pairwise disjoint")
-        union |= m
-    if union != (1 << g.n) - 1:
-        raise ValueError("partition must cover every vertex")
-
-    k = len(masks)
-    sizes = tuple(m.bit_count() for m in masks)
-    entries = []
-    equitable = True
-    for i in range(k):
-        row = []
-        for j in range(k):
-            counts = {(g.rows[v] & masks[j]).bit_count() for v in iter_bits(masks[i])}
-            if len(counts) > 1:
-                equitable = False
-                total = sum((g.rows[v] & masks[j]).bit_count() for v in iter_bits(masks[i]))
-                row.append(Fraction(total, sizes[i]))
-            else:
-                row.append(Fraction(counts.pop()))
-        entries.append(tuple(row))
-    return QuotientMatrix(tuple(entries), sizes, equitable)
-
-
-# -- exact leading roots of small quotients ----------------------------------
-
-
-def _charpoly_coeffs(b: QuotientMatrix) -> list[Fraction]:
-    """Monic characteristic polynomial coefficients, highest power first, k <= 3."""
-    e = b.entries
-    if b.k == 1:
-        return [Fraction(1), -e[0][0]]
-    if b.k == 2:
-        tr = e[0][0] + e[1][1]
-        det = e[0][0] * e[1][1] - e[0][1] * e[1][0]
-        return [Fraction(1), -tr, det]
-    if b.k == 3:
-        tr = e[0][0] + e[1][1] + e[2][2]
-        minors = (
-            e[1][1] * e[2][2] - e[1][2] * e[2][1]
-            + e[0][0] * e[2][2] - e[0][2] * e[2][0]
-            + e[0][0] * e[1][1] - e[0][1] * e[1][0]
-        )
-        det = (
-            e[0][0] * (e[1][1] * e[2][2] - e[1][2] * e[2][1])
-            - e[0][1] * (e[1][0] * e[2][2] - e[1][2] * e[2][0])
-            + e[0][2] * (e[1][0] * e[2][1] - e[1][1] * e[2][0])
-        )
-        return [Fraction(1), -tr, minors, -det]
-    raise ValueError("charpoly coefficients only implemented for k <= 3")
-
-
-def _poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _poly_eval(coeffs: Sequence[int], x: int | Fraction) -> int | Fraction:
+    """Horner's rule, exact: an integer at an integer x, a fraction at a fraction."""
+    acc = 0
     for c in coeffs:
         acc = acc * x + c
     return acc
 
 
-def _poly_derive(coeffs: Sequence[Fraction]) -> list[Fraction]:
+def _poly_derive(coeffs: Sequence[int]) -> list[int]:
     deg = len(coeffs) - 1
     return [c * (deg - i) for i, c in enumerate(coeffs[:-1])]
 
@@ -284,10 +195,12 @@ def _newton_from_above(coeffs: Sequence[float], x0: float) -> float:
     return x
 
 
-def _certified_largest_root(coeffs: list[Fraction], upper: Fraction) -> float:
-    """Largest root via Newton plus an exact-arithmetic bisection polish.
+def largest_root(coeffs: Sequence[int], upper: int) -> float:
+    """Largest root of a monic real-rooted integer polynomial (coefficients
+    highest power first) whose roots are all at most ``upper``.
 
-    Establishes a rational bracket [lo, hi] with p(lo) < 0 < p(hi) and
+    Newton from above ``upper``, then an exact-arithmetic bisection polish:
+    establishes a rational bracket [lo, hi] with p(lo) < 0 < p(hi) and
     p'(lo) > 0 (so lo is above every other root), then bisects it to width
     1e-12.  Falls back to the float Newton value when the bracket cannot be
     certified (e.g. a repeated leading root).
@@ -311,22 +224,3 @@ def _certified_largest_root(coeffs: list[Fraction], upper: Fraction) -> float:
             return float((lo + hi) / 2)
         eps *= 10
     return x
-
-
-def leading_eigenvalue(b: QuotientMatrix) -> float:
-    """Largest eigenvalue of an equitable quotient matrix of at most 3 parts.
-
-    The root is isolated from exact characteristic-polynomial coefficients.
-    By eigenvalue transfer it equals the spectral radius of the underlying
-    graph whenever that graph is connected.
-    """
-    if not b.equitable:
-        raise ValueError("leading eigenvalue transfer requires an equitable quotient")
-    return _certified_largest_root(_charpoly_coeffs(b), max(b.row_sums()))
-
-
-def charpoly_eval_3x3(b: QuotientMatrix, x: int | Fraction) -> Fraction:
-    """det(x I - B) for a 3-part quotient, in exact rational arithmetic."""
-    if b.k != 3:
-        raise ValueError("charpoly_eval_3x3 requires a 3-part quotient")
-    return _poly_eval(_charpoly_coeffs(b), Fraction(x))

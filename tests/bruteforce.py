@@ -1,8 +1,10 @@
 """Exhaustive references: a backtracking perfect-matching search, the test
 oracle for the blossom matching engine; a pure-Python max-flow deciding
 fractional p-factors on the bipartite double cover, the test oracle for
-``all_fractional_oracle``; and degrees in G - S, from which the tests
-re-evaluate the deficiency functionals."""
+``all_fractional_oracle``; degrees in G - S, from which the tests
+re-evaluate the deficiency functionals; and the quotient of a built graph
+over consecutive vertex blocks, counted vertex by vertex, with its
+characteristic polynomial, the test oracle for ``extremal.layout_charpoly``."""
 
 from __future__ import annotations
 
@@ -102,3 +104,32 @@ def degrees_excluding(g: Graph, excluded: Iterable[int]) -> dict[int, int]:
     smask = mask_of(excluded, g.n)
     keep = ~smask
     return {v: (g.rows[v] & keep).bit_count() for v in range(g.n) if not (smask >> v) & 1}
+
+
+def counted_quotient(g: Graph, sizes: Sequence[int]) -> list[list[int]]:
+    """Quotient matrix of g over the consecutive vertex blocks of the given
+    sizes: entry (i, j) is the number of neighbours in block j of each vertex
+    of block i, asserted to be the same for all of them (equitability)."""
+    assert sum(sizes) == g.n
+    starts = [sum(sizes[:i]) for i in range(len(sizes))]
+    blocks = [mask_of(range(s, s + k), g.n) for s, k in zip(starts, sizes)]
+    quotient = []
+    for block in blocks:
+        counts = [{(g.rows[v] & other).bit_count() for v in iter_bits(block)} for other in blocks]
+        assert all(len(c) == 1 for c in counts), "partition is not equitable"
+        quotient.append([c.pop() for c in counts])
+    return quotient
+
+
+def charpoly_3x3(m: Sequence[Sequence[int]]) -> tuple[int, int, int, int]:
+    """det(xI - m), coefficients highest power first, by the trace, the
+    principal 2x2 minors and the determinant."""
+    assert len(m) == 3 and all(len(row) == 3 for row in m), "needs a 3x3 matrix"
+    trace = m[0][0] + m[1][1] + m[2][2]
+    minors = sum(m[i][i] * m[j][j] - m[i][j] * m[j][i] for i, j in ((0, 1), (0, 2), (1, 2)))
+    det = (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+    return (1, -trace, minors, -det)

@@ -1,11 +1,14 @@
 """CLI surface: subcommand behavior, exit-code contract, JSON output."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from factorspec import build_hnb, complete, from_edge_list, graph, spectral, to_graph6
-from factorspec.cli import main
+from factorspec.cli import build_parser, main
 from catalogs import CACHE_DIR, connected_graphs
 
 
@@ -111,16 +114,26 @@ class TestRho:
         assert code == 0
         assert "rho = 3" in out
 
+    @pytest.mark.parametrize("n", [3 * 10**5, 10**6])
+    @pytest.mark.parametrize("b", [2, 3, 5])
+    def test_hnb_exceeds_where_the_float_rounds_to_n_minus_2(self, capsys, n, b):
+        code, out, err = run(capsys, "rho", "--hnb", f"{n},{b}", "--json")
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["exceeds"] is True and data["n_minus_2"] == n - 2
+
     def test_bad_hnb_params(self, capsys):
         code, _, err = run(capsys, "rho", "--hnb", "5,5")
         assert code == 2
 
     def test_uncertifiable_tol_is_usage_error(self, capsys):
-        code, out, err = run(capsys, "rho", "--g6", "Ch", "--tol", "1e-300")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: tolerance 1e-300 is below the certifiable")
-        assert "Traceback" not in err
+        # the dense radius certifies against the fixed spectral.RHO_TOL
+        with pytest.raises(SystemExit) as info:
+            main(["rho", "--g6", "Ch", "--tol", "1e-300"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --tol 1e-300" in captured.err
 
 
 class TestInternalErrors:
@@ -446,6 +459,31 @@ class TestParseErrors:
     ], ids=["n-grid", "b-grid", "k1join"])
     def test_int_list(self, capsys, argv, message):
         assert run(capsys, "verify", *argv) == (2, "", f"error: {message}\n")
+
+
+def readme_cli_lines() -> list[str]:
+    """The ``factorspec ...`` lines of the README's CLI block, trailing
+    comments dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [re.sub(r"\s+#.*", "", line) for line in block.splitlines()
+            if line.startswith("factorspec ")]
+
+
+class TestReadme:
+    def test_cli_block_found(self):
+        assert len(readme_cli_lines()) >= 15
+
+    @pytest.mark.parametrize("line", readme_cli_lines())
+    def test_cli_example_parses(self, line):
+        # a bracketed flag is optional: the line must parse with and without it
+        optional = re.findall(r"\[(--[\w-]+)\]", line)
+        for keep in (False, True):
+            text = re.sub(r"\[(--[\w-]+)\]", r"\1" if keep else "", line)
+            argv = shlex.split(text)[1:]
+            build_parser().parse_args(argv)
+            if not optional:
+                break
 
 
 class TestUsageErrors:

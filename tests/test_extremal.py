@@ -1,5 +1,7 @@
 """The named extremal constructions and their closed-form facts."""
 
+import itertools
+
 import pytest
 
 from factorspec import (
@@ -10,8 +12,6 @@ from factorspec import (
     build_k1_join_cliques,
     complete,
     disjoint_union,
-    g1_partition,
-    g2_partition,
     g12_min_order,
     has_all_ab_factors,
     has_all_fractional_ab_factors,
@@ -19,14 +19,14 @@ from factorspec import (
     is_connected,
     is_hnb,
     join,
-    quotient_matrix,
     rho_hnb,
     rho_k1_join_cliques,
     spectral_radius,
     threshold_n,
 )
-from factorspec.extremal import g1_join_size
+from factorspec.extremal import _clique_join_layout, g1_join_size, layout_charpoly
 from factorspec.graph import component_masks
+from bruteforce import charpoly_3x3, counted_quotient
 
 
 class TestBuildHnb:
@@ -149,13 +149,15 @@ class TestG1G2:
         assert g1_join_size(1, 2) == 12
         g = build_g1(1, 2, 31)
         assert g.n == 31
-        assert [len(list(p)) for p in g1_partition(1, 2, 31)] == [2, 12, 17]
+        # [K_2 | K_12 | K_17]: degrees 1 + 12, 30 and 12 + 16
+        assert [g.degree(v) for v in range(31)] == [13] * 2 + [30] * 12 + [28] * 17
         assert g1_join_size(2, 2) == 6
-        assert [len(list(p)) for p in g1_partition(2, 2, 31)] == [2, 6, 23]
+        g = build_g1(2, 2, 31)
+        assert [g.degree(v) for v in range(31)] == [7] * 2 + [30] * 6 + [28] * 23
 
     def test_g1_is_equitable_join(self):
-        q = quotient_matrix(build_g1(1, 2, 31), g1_partition(1, 2, 31))
-        assert q.equitable
+        c = g1_join_size(1, 2)
+        counted_quotient(build_g1(1, 2, 31), (2, c, 31 - c - 2))
 
     def test_g1_too_small_rejected(self):
         with pytest.raises(ValueError):
@@ -163,9 +165,9 @@ class TestG1G2:
 
     def test_g2_part_sizes(self):
         g = build_g2(2, 31)
-        assert [len(list(p)) for p in g2_partition(2, 31)] == [2, 8, 21]
+        assert counted_quotient(g, (2, 8, 21)) == [[1, 8, 0], [2, 7, 21], [0, 8, 20]]
         g = build_g2(1, 12)
-        assert [len(list(p)) for p in g2_partition(1, 12)] == [2, 4, 6]
+        assert counted_quotient(g, (2, 4, 6)) == [[1, 4, 0], [2, 3, 6], [0, 4, 5]]
 
     def test_g2_boundary_tail_of_one(self):
         b = 2
@@ -179,6 +181,13 @@ class TestG1G2:
         assert g12_min_order(1, 2) == 31
         assert g12_min_order(2, 2) == 22
         assert g12_min_order(1, 5) == 112
+
+
+class TestLayoutCharpoly:
+    def test_equals_counted_quotient_polynomial(self):
+        for sizes in itertools.product(range(1, 9), repeat=3):
+            quotient = counted_quotient(_clique_join_layout(*sizes), sizes)
+            assert charpoly_3x3(quotient) == layout_charpoly(*sizes), sizes
 
 
 class TestK1JoinCliques:

@@ -1,4 +1,4 @@
-"""Spectral radius, Hong bound, quotient matrices, exact leading roots.
+"""Spectral radius, Hong bound, counted quotients, exact largest roots.
 
 numpy's symmetric eigensolver serves as a reference, but the package's direct
 route calls the same LAPACK routine, so a pure-Python Collatz-Wielandt
@@ -13,18 +13,17 @@ import pytest
 
 from factorspec import (
     ConvergenceError,
-    charpoly_eval_3x3,
     complete,
     disjoint_union,
     from_edge_list,
     hong_bound,
     join,
-    leading_eigenvalue,
-    quotient_matrix,
     spectral_radius,
 )
 from factorspec import spectral
-from factorspec.extremal import build_g1, build_hnb, g1_join_size, g1_partition, hnb_partition
+from factorspec.extremal import build_g1, build_hnb, g1_join_size, layout_charpoly
+from factorspec.spectral import _poly_eval, largest_root
+from bruteforce import charpoly_3x3, counted_quotient
 from catalogs import connected_graphs
 
 
@@ -81,8 +80,6 @@ class TestSpectralRadius:
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
             spectral_radius(complete(0))
-        with pytest.raises(ValueError):
-            spectral_radius(complete(3), tol=0.0)
 
     def test_disconnected_is_max_over_components(self):
         g = disjoint_union(complete(2), complete(2))
@@ -179,43 +176,24 @@ class TestSpectralRadius:
         rho = spectral._power_iteration(a, 1e-10, 100 * n + 1000)[0]
         assert spectral_radius(g).rho == rho
 
-    def test_direct_route_uncertifiable_tol_raises(self):
-        # below 4 eps max(1, max degree) no residual can be certified
-        with pytest.raises(ValueError, match="certifiable"):
-            spectral_radius(path_graph(4), tol=1e-300)
-        floor = 4 * np.finfo(np.float64).eps * 2
-        with pytest.raises(ValueError):
-            spectral_radius(path_graph(4), tol=floor / 2)
-        with pytest.raises(ValueError):
-            spectral_radius(complete(30), tol=floor * 2)  # max degree 29
-        with pytest.raises(ValueError):
-            spectral_radius(from_edge_list(3, []), tol=1e-16)  # edgeless: floor 4 eps
-        with pytest.raises(ValueError):
-            spectral_radius(path_graph(4), tol=float("nan"))
-
     def test_direct_route_residual_over_tol_carries_best_estimate(self, monkeypatch):
-        # an eigenvector off by 1e-6 leaves a residual far above tol
-        eigh = np.linalg.eigh
-
-        def perturbed(a):
-            w, v = eigh(a)
-            return w, v + 1e-6
-
-        monkeypatch.setattr(spectral.np.linalg, "eigh", perturbed)
-        g = path_graph(4)
-        with pytest.raises(ConvergenceError) as info:
+        # rounding leaves the eigensolver's residual far above 1e-300
+        monkeypatch.setattr(spectral, "RHO_TOL", 1e-300)
+        g = path_graph(30)
+        with pytest.raises(ConvergenceError, match="tol=1e-300") as info:
             spectral_radius(g)
         best = info.value.best
         assert best.method == "dense-eigh" and best.iterations == 0
-        assert best.residual > 1e-10
+        assert best.residual > 1e-300
         assert abs(best.rho - eigvalsh_rho(g)) < 1e-12
 
-    def test_nonconvergence_carries_best_estimate(self):
+    def test_nonconvergence_carries_best_estimate(self, monkeypatch):
         # a long path with a certifiable tol the iteration cannot reach
         # within its cap (the residual left at the cap is about 1e-10)
+        monkeypatch.setattr(spectral, "RHO_TOL", 1e-14)
         g = path_graph(200)
-        with pytest.raises(ConvergenceError) as info:
-            spectral_radius(g, tol=1e-14)
+        with pytest.raises(ConvergenceError, match="within 21000 iterations") as info:
+            spectral_radius(g)
         best = info.value.best
         assert abs(best.rho - eigvalsh_rho(g)) < 1e-6
         assert best.iterations > 0
@@ -243,112 +221,103 @@ class TestHongBound:
 
 class TestQuotient:
     def test_k4_two_parts(self):
-        q = quotient_matrix(complete(4), [(0,), (1, 2, 3)])
-        assert q.equitable
-        assert q.entries == ((Fraction(0), Fraction(3)), (Fraction(1), Fraction(2)))
-        assert abs(leading_eigenvalue(q) - 3.0) < 1e-12
+        # K_4 over ({0}, {1, 2, 3}): quotient [[0, 3], [1, 2]], x^2 - 2x - 3
+        assert counted_quotient(complete(4), (1, 3)) == [[0, 3], [1, 2]]
+        assert abs(largest_root((1, -2, -3), 3) - 3.0) < 1e-12
 
     def test_hnb_quotient_closed_form(self):
         for n, b in [(6, 3), (10, 4), (9, 2), (7, 6)]:
-            q = quotient_matrix(build_hnb(n, b), hnb_partition(n, b))
-            assert q.equitable
-            assert q.part_sizes == (1, b - 1, n - b)
-            expected = (
-                (0, b - 1, 0),
-                (1, b - 2, n - b),
-                (0, b - 1, n - b - 1),
-            )
-            assert tuple(tuple(int(x) for x in row) for row in q.entries) == expected
+            expected = [
+                [0, b - 1, 0],
+                [1, b - 2, n - b],
+                [0, b - 1, n - b - 1],
+            ]
+            assert counted_quotient(build_hnb(n, b), (1, b - 1, n - b)) == expected
+            assert charpoly_3x3(expected) == layout_charpoly(1, b - 1, n - b)
+        # hand-checked: x^3 - 3x^2 - 6x + 4 for hnb(6, 3)
+        assert layout_charpoly(1, 2, 3) == (1, -3, -6, 4)
 
     def test_g1_quotient_matches_printed_matrix(self):
         a, b, n = 1, 2, 31
         c = g1_join_size(a, b)
-        q = quotient_matrix(build_g1(a, b, n), g1_partition(a, b, n))
-        assert q.equitable
-        expected = (
-            (1, c, 0),
-            (2, c - 1, n - c - 2),
-            (0, c, n - c - 3),
-        )
-        assert tuple(tuple(int(x) for x in row) for row in q.entries) == expected
+        expected = [
+            [1, c, 0],
+            [2, c - 1, n - c - 2],
+            [0, c, n - c - 3],
+        ]
+        assert counted_quotient(build_g1(a, b, n), (2, c, n - c - 2)) == expected
+        assert charpoly_3x3(expected) == layout_charpoly(2, c, n - c - 2)
 
     def test_non_equitable_flagged(self):
+        # the reference counts every vertex, so an unequal count must fail it
         path = from_edge_list(3, [(0, 1), (1, 2)])
-        q = quotient_matrix(path, [(0, 1), (2,)])
-        assert not q.equitable
+        with pytest.raises(AssertionError, match="not equitable"):
+            counted_quotient(path, (2, 1))
 
     def test_partition_validation(self):
-        with pytest.raises(ValueError):
-            quotient_matrix(complete(3), [(0,), (1,)])  # not covering
-        with pytest.raises(ValueError):
-            quotient_matrix(complete(3), [(0, 1), (1, 2)])  # overlap
-        with pytest.raises(ValueError):
-            quotient_matrix(complete(3), [(), (0, 1, 2)])  # empty part
-
-    def test_average_entries_on_non_equitable(self):
-        # one endpoint of the path has 1 neighbour in the other part, one has 0
-        path = from_edge_list(3, [(0, 1), (1, 2)])
-        q = quotient_matrix(path, [(0, 2), (1,)])
-        assert q.entries[0][1] == Fraction(1)
-        assert q.entries[1][0] == Fraction(2)
+        with pytest.raises(AssertionError):
+            counted_quotient(complete(3), (1, 1))  # not covering
+        with pytest.raises(AssertionError):
+            counted_quotient(complete(3), (0, 3))  # empty part
 
 
 class TestLeadingEigenvalue:
     def test_single_part(self):
         for n in (2, 5, 9):
-            q = quotient_matrix(complete(n), [tuple(range(n))])
-            assert abs(leading_eigenvalue(q) - (n - 1)) < 1e-12
+            assert counted_quotient(complete(n), (n,)) == [[n - 1]]
+            assert abs(largest_root((1, 1 - n), n - 1) - (n - 1)) < 1e-12
 
     def test_matches_dense_on_hnb_grid(self):
         for n, b in [(6, 3), (12, 4), (25, 7), (40, 39)]:
-            g = build_hnb(n, b)
-            q = quotient_matrix(g, hnb_partition(n, b))
-            assert abs(leading_eigenvalue(q) - spectral_radius(g).rho) < 1e-8
+            lam = largest_root(layout_charpoly(1, b - 1, n - b), n - 1)
+            assert abs(lam - spectral_radius(build_hnb(n, b)).rho) < 1e-8
 
     def test_four_part_quotient(self):
-        # exact roots stop at 3 parts, and no caller needs more
+        # the cocktail party graph K_8 minus a perfect matching, over its
+        # matching pairs: det(xI - B) = (x - 6)(x + 2)^3 = x^4 - 24x^2 - 64x - 48
         g = complete(8)
         pairs = [(0, 1), (2, 3), (4, 5), (6, 7)]
         g = from_edge_list(8, [e for e in g.edges() if e not in pairs])
-        q = quotient_matrix(g, pairs)
-        assert q.equitable and q.k == 4
-        with pytest.raises(ValueError, match="k <= 3"):
-            leading_eigenvalue(q)
+        assert counted_quotient(g, (2, 2, 2, 2)) == [[0, 2, 2, 2], [2, 0, 2, 2], [2, 2, 0, 2], [2, 2, 2, 0]]
+        lam = largest_root((1, 0, -24, -64, -48), 7)
+        assert abs(lam - 6.0) < 1e-12
+        assert abs(lam - spectral_radius(g).rho) < 1e-8
 
     def test_non_equitable_rejected(self):
-        path = from_edge_list(3, [(0, 1), (1, 2)])
-        q = quotient_matrix(path, [(0, 1), (2,)])
-        with pytest.raises(ValueError):
-            leading_eigenvalue(q)
+        # hnb(9, 4) over blocks that put a join vertex with the hub
+        with pytest.raises(AssertionError, match="not equitable"):
+            counted_quotient(build_hnb(9, 4), (2, 2, 5))
 
 
 class TestCharpoly:
     def test_root_at_leading_eigenvalue(self):
         for n, b in [(6, 3), (15, 4)]:
-            q = quotient_matrix(build_hnb(n, b), hnb_partition(n, b))
-            lam = leading_eigenvalue(q)
-            assert abs(float(charpoly_eval_3x3(q, Fraction(lam).limit_denominator(10**12)))) < 1e-6
+            coeffs = layout_charpoly(1, b - 1, n - b)
+            lam = largest_root(coeffs, n - 1)
+            assert abs(float(_poly_eval(coeffs, Fraction(lam).limit_denominator(10**12)))) < 1e-6
 
     def test_exact_values_for_g1(self):
-        # the two sign checks, in exact arithmetic, on a couple of grid points
+        # the two sign checks of the lemma23 sweep, in exact arithmetic
         for a, b, n in [(1, 2, 31), (2, 3, 34), (3, 3, 28)]:
             c = g1_join_size(a, b)
-            q = quotient_matrix(build_g1(a, b, n), g1_partition(a, b, n))
-            f_nm3 = charpoly_eval_3x3(q, n - 3)
+            coeffs = layout_charpoly(2, c, n - c - 2)
+            f_nm3 = _poly_eval(coeffs, n - 3)
             assert f_nm3 == -2 * c * c
-            f_nm2 = charpoly_eval_3x3(q, n - 2)
+            f_nm2 = _poly_eval(coeffs, n - 2)
             # det expansion gives (n-3)(n-1) - 2c^2 - 2c at x = n-2
             assert f_nm2 == (n - 3) * (n - 1) - 2 * c * c - 2 * c
             assert f_nm2 > 0 > f_nm3
 
     def test_requires_three_parts(self):
-        q = quotient_matrix(complete(4), [(0,), (1, 2, 3)])
-        with pytest.raises(ValueError):
-            charpoly_eval_3x3(q, 1)
+        # the reference cubic is for three-part quotients only
+        with pytest.raises(AssertionError):
+            charpoly_3x3(counted_quotient(complete(4), (1, 3)))
 
     def test_exact_rational_arithmetic(self):
-        q = quotient_matrix(build_hnb(6, 3), hnb_partition(6, 3))
-        value = charpoly_eval_3x3(q, Fraction(1, 3))
+        # hnb(6, 3): B = [[0,2,0],[1,1,3],[0,2,2]] has charpoly x^3 - 3x^2 - 6x + 4
+        coeffs = layout_charpoly(1, 2, 3)
+        value = _poly_eval(coeffs, Fraction(1, 3))
         assert isinstance(value, Fraction)
-        # B = [[0,2,0],[1,1,3],[0,2,2]] has charpoly x^3 - 3x^2 - 6x + 4
         assert value == Fraction(1, 27) - Fraction(3, 9) - 2 + 4 == Fraction(46, 27)
+        assert _poly_eval(coeffs, 4) == 64 - 48 - 24 + 4
+        assert isinstance(_poly_eval(coeffs, 4), int)
