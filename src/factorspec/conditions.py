@@ -13,15 +13,17 @@ witness.  Two functionals cover the six deciders:
 
 The [a, b] deciders are the (g, f) ones with g = a < b = f, where q_star is
 the number of components.  The pair loop takes D by ascending size, then
-lexicographically, and S over the subsets of V - D in descending numeric
-order.  It skips a pair whose lower bound lo(D) - hi(S) - |V - D - S| exceeds
-the least value so far, so ``pairs_examined`` depends on this order; pairs at
-that value are still evaluated, so the minimum and the witness do not.  The
-subset loop takes all 2^n subsets in numeric order.  Ties go to the least
-(sorted first set, sorted second set) pair of tuples.  Enumeration is exact:
-graphs above PAIR_ENUM_CAP (pair loop) or SUBSET_ENUM_CAP (subset loop)
-vertices raise ``CapExceededError`` rather than being sampled, and no caller
-can lift these limits.
+lexicographically, and S in one walk down the subsets of V - D in descending
+numeric order.  Two tables feed the walk: hi(S) over all of V, built once per
+call, and sum_{x in S} d_{G-D}(x) over V - D, built once per D.  The loop
+skips a pair whose lower bound lo(D) - hi(S) - |V - D - S| exceeds the least
+value so far, so ``pairs_examined`` depends on this order; pairs at that value
+are still evaluated, so the minimum and the witness do not.  The subset loop
+takes all 2^n subsets in numeric order.  Ties go to the least (sorted first
+set, sorted second set) pair of tuples.  Enumeration is exact: graphs above
+PAIR_ENUM_CAP (pair loop) or SUBSET_ENUM_CAP (subset loop) vertices raise
+``CapExceededError`` rather than being sampled, and no caller can lift these
+limits.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .graph import Graph, component_masks, iter_bits, mask_of, set_of
 
 PAIR_ENUM_CAP = 16
 SUBSET_ENUM_CAP = 22
-PAIR_TABLE_BITS = 12  # the pair loop tabulates the part of S below this vertex, for speed
 
 
 class CapExceededError(RuntimeError):
@@ -218,17 +219,13 @@ def _minimize_pairs(
     g: Graph, lo: tuple[int, ...], hi: tuple[int, ...], strict: int, count_strict: bool,
     threshold: int,
 ) -> ConditionReport:
-    """Minimize the pair functional in the loop order of the module docstring.
-    S = high | low runs the high part over submasks of V - D at or above vertex
-    PAIR_TABLE_BITS and the low part over tables built once per D.  The split is
-    for speed: a table over all of V - D costs more to rebuild for each D than
-    skip-heavy inputs spend in the loop itself."""
+    """Minimize the pair functional in the loop order of the module docstring,
+    reading each D's table of the subsets of V - D in reverse as S steps down."""
     _guard(g, lo, PAIR_ENUM_CAP, "3^n")
     n, rows = g.n, g.rows
     full = (1 << n) - 1
-    low_mask = (1 << min(n, PAIR_TABLE_BITS)) - 1
-    hi_minus = [0]  # hi(S) - |S| for every S within low_mask
-    for v in range(low_mask.bit_length()):
+    hi_minus = [0]  # hi(S) - |S| for every S, indexed by its mask
+    for v in range(n):
         hi_minus += [h + hi[v] - 1 for h in hi_minus]
     best = (sum(lo) + n * n, 0, 0)  # a value above every value of the functional
     examined = 0
@@ -237,29 +234,20 @@ def _minimize_pairs(
             dmask = sum(1 << v for v in combo)
             lo_d = sum(lo[v] for v in combo)
             comp = full & ~dmask
-            # the low parts in ascending order, each with sum_{x in S} d_{G-D}(x) - |S|
-            low = comp & low_mask
-            lows, deg_lows = [0], [0]
-            for v in iter_bits(low):
-                bit, d = 1 << v, (rows[v] & comp).bit_count() - 1
-                lows += [m | bit for m in lows]
-                deg_lows += [x + d for x in deg_lows]
-            high = sh = comp ^ low
-            while True:
-                lo_h = lo_d - sum(hi[v] - 1 for v in iter_bits(sh))
-                deg_h = sum((rows[v] & comp).bit_count() - 1 for v in iter_bits(sh))
-                for sl, dl in zip(reversed(lows), reversed(deg_lows)):
-                    base = lo_h - hi_minus[sl]  # lo(D) - hi(S) + |S|
-                    if base - (n - k) <= best[0]:
-                        smask = sh | sl
-                        examined += 1
-                        value = (base + deg_h + dl
-                                 - _count_q(g, dmask | smask, smask, lo, strict, count_strict))
-                        if value <= best[0]:
-                            best = _least(best, value, dmask, smask)
-                if not sh:
-                    break
-                sh = (sh - 1) & high
+            degs = [0]  # sum_{x in S} d_{G-D}(x) - |S| over the submasks of comp, ascending
+            for v in iter_bits(comp):
+                d = (rows[v] & comp).bit_count() - 1
+                degs += [x + d for x in degs]
+            smask = comp
+            for deg in reversed(degs):
+                base = lo_d - hi_minus[smask]  # lo(D) - hi(S) + |S|
+                if base - (n - k) <= best[0]:
+                    examined += 1
+                    value = (base + deg
+                             - _count_q(g, dmask | smask, smask, lo, strict, count_strict))
+                    if value <= best[0]:
+                        best = _least(best, value, dmask, smask)
+                smask = (smask - 1) & comp
     return _report(best, threshold, examined)
 
 

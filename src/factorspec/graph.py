@@ -191,6 +191,8 @@ def to_graph6(g: Graph) -> bytes:
 def parse_graph6(data: bytes | str) -> Graph:
     """Decode a single graph6 record, optionally preceded by '>>graph6<<'."""
     if isinstance(data, str):
+        if not data.isascii():
+            raise Graph6Error("non-ascii character in record")
         data = data.encode("ascii")
     if data.startswith(GRAPH6_HEADER):
         data = data[len(GRAPH6_HEADER):]

@@ -2,15 +2,19 @@
 oracle for the blossom matching engine; a pure-Python max-flow deciding
 fractional p-factors on the bipartite double cover, the test oracle for
 ``all_fractional_oracle``; degrees in G - S, from which the tests
-re-evaluate the deficiency functionals; and the quotient of a built graph
-over consecutive vertex blocks, counted vertex by vertex, with its
-characteristic polynomial, the test oracle for ``extremal.layout_charpoly``."""
+re-evaluate the deficiency functionals; the pair loop of the integer deciders
+in its documented order, the test oracle for their ``pairs_examined``; and the
+quotient of a built graph over consecutive vertex blocks, counted vertex by
+vertex, with its characteristic polynomial, the test oracle for
+``extremal.layout_charpoly``."""
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
+from factorspec import DegreeFunctions, classify_components
 from factorspec.graph import Graph, iter_bits, mask_of
 
 BRUTE_FORCE_LIMIT = 12
@@ -104,6 +108,39 @@ def degrees_excluding(g: Graph, excluded: Iterable[int]) -> dict[int, int]:
     smask = mask_of(excluded, g.n)
     keep = ~smask
     return {v: (g.rows[v] & keep).bit_count() for v in range(g.n) if not (smask >> v) & 1}
+
+
+def pair_loop_reference(
+    g: Graph, funcs: DegreeFunctions, every: bool
+) -> tuple[bool, int, tuple[int, ...], tuple[int, ...], int]:
+    """(verdict, minimum, D, S, pairs examined) of ``has_all_gf_factors``
+    (``every``) or ``has_gf_factor``, by the documented loop: D by size, then
+    lexicographically; S descending over the subsets of V - D; a pair evaluated
+    when lo(D) - hi(S) - |V - D - S| <= the least value so far; ties to the
+    least (D, S) pair of sorted tuples."""
+    lo, hi = (funcs.g, funcs.f) if every else (funcs.f, funcs.g)
+    n = g.n
+    best = None
+    examined = 0
+    for k in range(n + 1):
+        for d in combinations(range(n), k):
+            dmask, lo_d = mask_of(d, n), sum(lo[v] for v in d)
+            degrees = degrees_excluding(g, d)
+            for smask in range((1 << n) - 1, -1, -1):
+                if smask & dmask:
+                    continue
+                s = tuple(iter_bits(smask))
+                hi_s = sum(hi[v] for v in s)
+                if best is not None and lo_d - hi_s - (n - k - len(s)) > best[0]:
+                    continue
+                examined += 1
+                q_hat, q_star = classify_components(g, d, s, funcs)
+                q = q_star if every else q_hat
+                candidate = (lo_d - hi_s + sum(degrees[x] for x in s) - q, d, s)
+                if best is None or candidate < best:
+                    best = candidate
+    threshold = -1 if every and not funcs.pointwise_equal else 0
+    return (best[0] >= threshold,) + best + (examined,)
 
 
 def counted_quotient(g: Graph, sizes: Sequence[int]) -> list[list[int]]:

@@ -452,6 +452,13 @@ class TestParseErrors:
                              "--grid", "1,2;3")
         assert (code, out, err) == (2, "", "error: --grid: expected a,b, got '3'\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["check", "--g6", "B\u00e9", "--a", "1", "--b", "2"],
+        ["rho", "--g6", "B\u00e9"],
+    ], ids=["check", "rho"])
+    def test_non_ascii_graph6(self, capsys, argv):
+        assert run(capsys, *argv) == (2, "", "error: non-ascii character in record\n")
+
     @pytest.mark.parametrize("argv, message", [
         (["quotient", "--n-grid", "10,x"], "--n-grid: 'x' is not an integer"),
         (["quotient", "--b-grid", "2,3.5"], "--b-grid: '3.5' is not an integer"),

@@ -31,7 +31,7 @@ from factorspec import (
 )
 from factorspec import conditions
 from factorspec.extremal import build_hnb
-from bruteforce import degrees_excluding
+from bruteforce import degrees_excluding, pair_loop_reference
 from catalogs import all_graphs, connected_graphs
 
 
@@ -449,6 +449,8 @@ class TestGoldenReports:
     )
     PETERSEN_FUNCS = DegreeFunctions((1, 1, 2, 2, 3, 3, 1, 2, 3, 1), (1, 2, 2, 3, 3, 3, 2, 2, 3, 2))
     CIRCULANT_12 = from_edge_list(12, [(i, (i + d) % 12) for i in range(12) for d in (1, 3)])
+    STAR_12 = from_edge_list(13, [(0, i) for i in range(1, 13)])
+    STAR_13 = from_edge_list(14, [(0, i) for i in range(1, 14)])
 
     @pytest.mark.parametrize(
         "decide, graph, arg, expected",
@@ -468,16 +470,38 @@ class TestGoldenReports:
              (False, -3, [0, 2, 6, 9], [1, 3, 4, 5, 7, 8], 1024)),
             (has_all_fractional_ab_factors, CIRCULANT_12, DegreeBounds(2, 3),
              (False, -6, [0, 2, 4, 6, 8, 10], [1, 3, 5, 7, 9, 11], 4096)),
+            (has_all_ab_factors, STAR_12, DegreeBounds(1, 2),
+             (False, -23, [0], list(range(1, 13)), 8205)),
+            (has_all_ab_factors, STAR_13, DegreeBounds(1, 2),
+             (False, -25, [0], list(range(1, 14)), 16398)),
         ],
     )
-    @pytest.mark.parametrize("table_bits", [None, 3, 0])
-    def test_report(self, monkeypatch, decide, graph, arg, expected, table_bits):
-        # the pair loop's table split must not show in any report
-        if table_bits is not None:
-            monkeypatch.setattr(conditions, "PAIR_TABLE_BITS", table_bits)
+    def test_report(self, decide, graph, arg, expected):
         report = decide(graph, arg)
         assert (report.verdict, report.min_value, sorted(report.witness_s),
                 sorted(report.witness_t), report.pairs_examined) == expected
+
+
+class TestPairLoopOrder:
+    """Full reports of the integer deciders, pairs_examined included, against
+    the documented loop order in ``bruteforce.pair_loop_reference``."""
+
+    def test_reports_match_reference(self):
+        rng = random.Random(97)
+        for n in (5, 6, 7, 8):
+            for _ in range(2):
+                g = from_edge_list(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                                       if rng.random() < 0.5])
+                a = rng.randint(1, 2)
+                gfun = tuple(rng.randint(1, 3) for _ in range(n))
+                ffun = tuple(gv + rng.choice((0, 0, 1, 2)) for gv in gfun)
+                for funcs in (DegreeFunctions.constant(n, a, a + rng.randint(1, 2)),
+                              DegreeFunctions(gfun, ffun)):
+                    for decide, every in ((has_gf_factor, False), (has_all_gf_factors, True)):
+                        report = decide(g, funcs)
+                        assert (report.verdict, report.min_value, tuple(sorted(report.witness_s)),
+                                tuple(sorted(report.witness_t)), report.pairs_examined
+                                ) == pair_loop_reference(g, funcs, every)
 
 
 class TestMonotonicity:
