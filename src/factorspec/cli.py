@@ -3,9 +3,9 @@ constructions, verification sweeps, mining, and equivalence suites.
 
 Every command, and every ``verify`` target, accepts only the flags it reads;
 a flag that belongs to another mode, kind or target is a usage error.  The
-tolerances are fixed (the sweeps' ``harness.MARGIN``, ``HONG_TOL`` and
-``QUOTIENT_TOL``, and ``spectral.RHO_TOL`` for every dense radius); only the
-sweeps' ranges are flags.
+tolerances are fixed (``harness.HONG_TOL`` and ``QUOTIENT_TOL``, and
+``spectral.RHO_TOL`` for every dense radius; the strict spectral bounds are
+exact root counts); only the sweeps' ranges are flags.
 
 Exit codes: 0 when the queried property holds (or the sweep or suite
 passed), 1 when it fails (or a counterexample or mismatch was found), 2 on
@@ -178,6 +178,8 @@ def cmd_check(args) -> int:
 def cmd_rho(args) -> int:
     if args.hnb:
         n, b = _int_pair(args.hnb, "--hnb", "N,B")
+        if n - 1 > sys.float_info.max:  # rho lies in (n - 2, n - 1)
+            raise ValueError(f"--hnb: N - 1 exceeds the largest double, {sys.float_info.max:.6g}")
         # rho_hnb decides n - 2 < rho exactly, from the quotient polynomial's
         # sign at n - 2, and raises otherwise; the float may round to n - 2
         rho = rho_hnb(n, b)

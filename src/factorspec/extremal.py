@@ -43,7 +43,7 @@ def _clique_join_layout(first: int, join: int, tail: int) -> Graph:
 def layout_charpoly(first: int, join: int, tail: int) -> tuple[int, int, int, int]:
     """Coefficients, highest power first, of det(xI - B) for the quotient
     B = [[first-1, join, 0], [first, join-1, tail], [0, join, tail-1]] of the
-    layout.  Every row sum is at most n - 1, so every root is at most n - 1."""
+    layout.  Its row sums are at most n - 1, so its roots lie in [1 - n, n - 1]."""
     n = first + join + tail
     ft = first * tail
     return (1, 3 - n, ft - 2 * n + 3, ft * (join + 1) + 1 - n)

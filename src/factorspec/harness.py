@@ -22,8 +22,6 @@ from .conditions import (
     has_all_fractional_ab_factors,
 )
 from .extremal import (
-    build_g1,
-    build_g2,
     g12_min_order,
     g1_join_size,
     build_hnb,
@@ -31,16 +29,14 @@ from .extremal import (
     is_hnb,
     layout_charpoly,
     rho_hnb,
-    rho_k1_join_cliques,
 )
 from .graph import GRAPH6_HEADER, Graph, Graph6Error, is_connected, parse_graph6, to_graph6
 from .oracle import all_ab_factors_oracle, all_fractional_oracle
-from .spectral import _poly_eval, hong_bound, spectral_radius
+from .spectral import _poly_eval, _roots_at_least, hong_bound, largest_root, spectral_radius
 
 MODES = ("integer", "fractional")
 # mine_extremal treats spectral radii this close (relative) as equal
 RHO_TIE_REL = 1e-9
-MARGIN = 1e-6  # a strict bound rho < n - 2 in a sweep must hold by this much
 HONG_TOL = 1e-9  # verify_hong lets rho exceed Hong's bound by this much
 QUOTIENT_TOL = 1e-8  # quotient and dense rho(hnb) must agree within this
 
@@ -305,8 +301,8 @@ def verify_hnb_witnesses(nmax: int) -> VerifyReport:
 
 
 def verify_g1_g2_bounds(amax: int, bmax: int) -> VerifyReport:
-    """At the minimum claimed order: exact signs of the g1 quotient
-    polynomial, and rho(g1), rho(g2) < n - 2 - MARGIN."""
+    """At the minimum claimed order: exact signs of the g1 quotient polynomial
+    at n - 2 and n - 3, and rho(g1), rho(g2) < n - 2 by exact root counts."""
     t0 = time.perf_counter()
     cases = 0
     failures = []
@@ -323,12 +319,10 @@ def verify_g1_g2_bounds(amax: int, bmax: int) -> VerifyReport:
                 fail["f_nm2"] = str(f_nm2)
             if f_nm3 != -2 * c * c or not (f_nm3 < 0):
                 fail["f_nm3"] = str(f_nm3)
-            rho1 = spectral_radius(build_g1(a, b, n)).rho
-            rho2 = spectral_radius(build_g2(b, n)).rho
-            if not rho1 < n - 2 - MARGIN:
-                fail["rho_g1"] = rho1
-            if not rho2 < n - 2 - MARGIN:
-                fail["rho_g2"] = rho2
+            for key, poly in (("rho_g1", coeffs),
+                              ("rho_g2", layout_charpoly(2, 4 * b, n - 4 * b - 2))):
+                if _roots_at_least(poly, n - 2):
+                    fail[key] = largest_root(poly, n - 1)
             if fail:
                 failures.append({"a": a, "b": b, "n": n, **fail})
     return _verify_report("g1-g2-spectral-bounds", cases, failures, t0)
@@ -375,16 +369,17 @@ def verify_quotient_transfer(ns: Sequence[int], bs: Sequence[int]) -> VerifyRepo
 
 
 def verify_k1_join_bound(ns: Sequence[int]) -> VerifyReport:
-    """rho(K_1 joined to (K_r u K_{n-1-r})) < n - 2 - MARGIN for 2 <= r <= n-3."""
+    """rho(K_1 joined to (K_r u K_{n-1-r})) < n - 2 for 2 <= r <= n-3, by an
+    exact count: no root of the quotient polynomial is >= n - 2."""
     t0 = time.perf_counter()
     cases = 0
     failures = []
     for n in ns:
         for r in range(2, n - 2):
             cases += 1
-            rho = rho_k1_join_cliques(n, r)
-            if not rho < n - 2 - MARGIN:
-                failures.append({"n": n, "r": r, "rho": rho})
+            coeffs = layout_charpoly(r, 1, n - 1 - r)
+            if _roots_at_least(coeffs, n - 2):
+                failures.append({"n": n, "r": r, "rho": largest_root(coeffs, n - 1)})
     return _verify_report("hub-two-cliques-bound", cases, failures, t0)
 
 

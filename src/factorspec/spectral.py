@@ -9,9 +9,9 @@ memory is the matrix itself.  Either route certifies its value: the l2
 residual of the returned unit vector bounds the eigenvalue error, and it must
 be at most ``RHO_TOL``.
 
-Also here: Hong's edge bound for connected graphs, and the exact largest
-root of an integer polynomial, which ``extremal`` applies to the closed-form
-quotient polynomials of its clique joins.
+Also here: Hong's edge bound for connected graphs, and, for real-rooted
+integer polynomials such as the quotient polynomials of the clique joins,
+exact root counts (Descartes' rule of signs) and largest roots.
 """
 
 from __future__ import annotations
@@ -154,7 +154,9 @@ def hong_bound(g: Graph) -> float:
     return math.sqrt(2 * g.edge_count() - g.n + 1)
 
 
-# -- exact largest roots of integer polynomials --------------------------------
+# -- exact root counts and largest roots of integer polynomials ---------------
+
+ROOT_BITS = 53  # largest_root's step 2^-53 keeps it within 3/4 ulp of roots >= 1
 
 
 def _poly_eval(coeffs: Sequence[int], x: int | Fraction) -> int | Fraction:
@@ -165,62 +167,41 @@ def _poly_eval(coeffs: Sequence[int], x: int | Fraction) -> int | Fraction:
     return acc
 
 
-def _poly_derive(coeffs: Sequence[int]) -> list[int]:
-    deg = len(coeffs) - 1
-    return [c * (deg - i) for i, c in enumerate(coeffs[:-1])]
+def _roots_at_least(coeffs: Sequence[int], c: int) -> int:
+    """Number of roots >= c, with multiplicity, of a real-rooted integer
+    polynomial (coefficients highest power first), as the characteristic
+    polynomials of symmetric matrices and their equitable quotients are.
 
-
-def _newton_from_above(coeffs: Sequence[float], x0: float) -> float:
-    """Largest root of a monic real-rooted polynomial, starting above it.
-
-    Above the largest root all derivatives are positive, so the iteration
-    decreases monotonically; stop on stagnation from rounding.
-    """
-    x = x0
-    for _ in range(200):
-        p = 0.0
-        dp = 0.0
-        for c in coeffs:
-            dp = dp * x + p
-            p = p * x + c
-        if dp <= 0.0:
-            break
-        x_new = x - p / dp
-        if not x_new < x:
-            break
-        if x - x_new <= 1e-15 * max(1.0, abs(x)):
-            x = x_new
-            break
-        x = x_new
-    return x
+    p(x + c) comes from repeated synthetic division by x - c.  Its trailing
+    zeros count the roots at c; by Descartes' rule of signs, exact for
+    real-rooted polynomials, its sign changes count the roots above c."""
+    shifted = list(coeffs)
+    for end in range(len(shifted) - 1, 0, -1):
+        for i in range(1, end + 1):
+            shifted[i] += c * shifted[i - 1]
+    while shifted[-1] == 0:
+        shifted.pop()
+    signs = [v > 0 for v in shifted if v]
+    return len(coeffs) - len(shifted) + sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def largest_root(coeffs: Sequence[int], upper: int) -> float:
-    """Largest root of a monic real-rooted integer polynomial (coefficients
-    highest power first) whose roots are all at most ``upper``.
-
-    Newton from above ``upper``, then an exact-arithmetic bisection polish:
-    establishes a rational bracket [lo, hi] with p(lo) < 0 < p(hi) and
-    p'(lo) > 0 (so lo is above every other root), then bisects it to width
-    1e-12.  Falls back to the float Newton value when the bracket cannot be
-    certified (e.g. a repeated leading root).
-    """
-    float_coeffs = [float(c) for c in coeffs]
-    x = _newton_from_above(float_coeffs, float(upper) + 1.0)
-    deriv = _poly_derive(coeffs)
-    eps = Fraction(1, 10**9)
-    for _ in range(4):
-        lo = Fraction(x) - eps
-        hi = Fraction(x) + eps
-        if _poly_eval(coeffs, lo) < 0 < _poly_eval(coeffs, hi) and _poly_eval(deriv, lo) > 0:
-            for _ in range(60):
-                if hi - lo <= Fraction(1, 10**12):
-                    break
-                mid = (lo + hi) / 2
-                if _poly_eval(coeffs, mid) < 0:
-                    lo = mid
-                else:
-                    hi = mid
-            return float((lo + hi) / 2)
-        eps *= 10
-    return x
+    """Largest root of a real-rooted integer polynomial (coefficients highest
+    power first) whose roots all lie in [-upper, upper], as the eigenvalues
+    of a nonnegative matrix with row sums at most ``upper`` do; otherwise
+    ``ValueError``.  Bisects on ``_roots_at_least`` down to a bracket
+    2^-ROOT_BITS wide and returns its midpoint."""
+    # p(x / 2^ROOT_BITS) with integer coefficients, so every test point is an
+    # integer; its mirror p(-x) has no root below lo iff p has none above hi
+    scaled = [coeff << (ROOT_BITS * i) for i, coeff in enumerate(coeffs)]
+    mirrored = [-coeff if i % 2 else coeff for i, coeff in enumerate(scaled)]
+    lo, hi = -upper << ROOT_BITS, upper << ROOT_BITS
+    if not _roots_at_least(scaled, lo) == _roots_at_least(mirrored, lo) == len(coeffs) - 1:
+        raise ValueError(f"the roots do not all lie in [-{upper}, {upper}]")
+    while hi - lo > 1:  # some root is >= lo and none is > hi
+        mid = (lo + hi) // 2
+        if _roots_at_least(scaled, mid):
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / (2 << ROOT_BITS)

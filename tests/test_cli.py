@@ -126,6 +126,11 @@ class TestRho:
         code, _, err = run(capsys, "rho", "--hnb", "5,5")
         assert code == 2
 
+    def test_hnb_order_beyond_a_double_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "rho", "--hnb", f"{10**400},2")
+        assert (code, out) == (2, "")
+        assert err == "error: --hnb: N - 1 exceeds the largest double, 1.79769e+308\n"
+
     def test_uncertifiable_tol_is_usage_error(self, capsys):
         # the dense radius certifies against the fixed spectral.RHO_TOL
         with pytest.raises(SystemExit) as info:
@@ -238,6 +243,33 @@ class TestVerify:
         assert lines[1:] == [
             f"  failure: {{'n': {n}, 'b': {b}, 'mode': 'integer', 'value': -3, 'witness_T': [0]}}"
             for n, b in [(4, 3), (5, 3), (5, 4)]
+        ]
+
+    @staticmethod
+    def root_at_n_minus_2(first, join, tail):
+        """x - (n - 2): the quotient polynomial of a join whose radius is n - 2."""
+        return (1, 2 - (first + join + tail))
+
+    def test_lemma23_counterexample_exits_1(self, capsys, monkeypatch):
+        from factorspec import harness
+
+        monkeypatch.setattr(harness, "layout_charpoly", self.root_at_n_minus_2)
+        code, out, err = run(capsys, "verify", "lemma23", "--amax", "1", "--bmax", "1", "--json")
+        assert (code, err) == (1, "")
+        assert json.loads(out)["failures"] == [{
+            "a": 1, "b": 1, "n": 16, "f_nm2": "0", "f_nm3": "-1",
+            "rho_g1": 14.0, "rho_g2": 14.0,
+        }]
+
+    def test_k1join_counterexample_exits_1(self, capsys, monkeypatch):
+        from factorspec import harness
+
+        monkeypatch.setattr(harness, "layout_charpoly", self.root_at_n_minus_2)
+        code, out, err = run(capsys, "verify", "k1join", "--n-grid", "6", "--json")
+        assert (code, err) == (1, "")
+        assert json.loads(out)["failures"] == [
+            {"n": 6, "r": 2, "rho": 4.0},
+            {"n": 6, "r": 3, "rho": 4.0},
         ]
 
     @pytest.mark.parametrize("argv, cases, name", [

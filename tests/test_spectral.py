@@ -21,8 +21,15 @@ from factorspec import (
     spectral_radius,
 )
 from factorspec import spectral
-from factorspec.extremal import build_g1, build_hnb, g1_join_size, layout_charpoly
-from factorspec.spectral import _poly_eval, largest_root
+from factorspec.extremal import (
+    build_g1,
+    build_g2,
+    build_hnb,
+    g12_min_order,
+    g1_join_size,
+    layout_charpoly,
+)
+from factorspec.spectral import _poly_eval, _roots_at_least, largest_root
 from bruteforce import charpoly_3x3, counted_quotient
 from catalogs import connected_graphs
 
@@ -57,6 +64,10 @@ def collatz_wielandt_bracket(g, width=1e-12, cap=100_000):
 
 def path_graph(n):
     return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
+
+
+# every (a, b) of the lemma23 sweep's default grid
+G12_GRID = [(a, b) for b in range(1, 6) for a in range(1, b + 1)]
 
 
 def cycle_graph(n):
@@ -237,16 +248,31 @@ class TestQuotient:
         # hand-checked: x^3 - 3x^2 - 6x + 4 for hnb(6, 3)
         assert layout_charpoly(1, 2, 3) == (1, -3, -6, 4)
 
-    def test_g1_quotient_matches_printed_matrix(self):
-        a, b, n = 1, 2, 31
-        c = g1_join_size(a, b)
+    @pytest.mark.parametrize("kind", ["g1", "g2"])
+    @pytest.mark.parametrize("a, b", G12_GRID)
+    def test_g1_quotient_matches_printed_matrix(self, kind, a, b):
+        # the lemma23 sweep reads only the layout polynomial, so the built
+        # graphs must have exactly the quotient it is taken from
+        n = g12_min_order(a, b)
+        if kind == "g1":
+            c, g = g1_join_size(a, b), build_g1(a, b, n)
+        else:
+            c, g = 4 * b, build_g2(b, n)
         expected = [
             [1, c, 0],
             [2, c - 1, n - c - 2],
             [0, c, n - c - 3],
         ]
-        assert counted_quotient(build_g1(a, b, n), (2, c, n - c - 2)) == expected
+        assert counted_quotient(g, (2, c, n - c - 2)) == expected
         assert charpoly_3x3(expected) == layout_charpoly(2, c, n - c - 2)
+
+    @pytest.mark.parametrize("a, b", sorted(G12_GRID, key=lambda ab: g12_min_order(*ab))[:3])
+    def test_g1_g2_dense_radius_matches_largest_root(self, a, b):
+        n = g12_min_order(a, b)
+        for c, g in [(g1_join_size(a, b), build_g1(a, b, n)), (4 * b, build_g2(b, n))]:
+            lam = largest_root(layout_charpoly(2, c, n - c - 2), n - 1)
+            assert abs(lam - spectral_radius(g).rho) < 1e-8
+            assert lam < n - 2
 
     def test_non_equitable_flagged(self):
         # the reference counts every vertex, so an unequal count must fail it
@@ -287,6 +313,41 @@ class TestLeadingEigenvalue:
         # hnb(9, 4) over blocks that put a join vertex with the hub
         with pytest.raises(AssertionError, match="not equitable"):
             counted_quotient(build_hnb(9, 4), (2, 2, 5))
+
+
+class TestRootCount:
+    def test_matches_numpy_roots_on_layout_polynomials(self):
+        rng = random.Random(7)
+        for sizes in [(1, 2, 3), (2, 12, 17), (5, 1, 9), (3, 3, 3), (1, 6, 40)]:
+            coeffs = layout_charpoly(*sizes)
+            roots = np.roots(coeffs).real
+            n = sum(sizes)
+            for c in [rng.randint(-n, n) for _ in range(20)] + [n - 2, n - 3, -1, 0]:
+                if _poly_eval(coeffs, c) == 0:
+                    continue  # the float roots cannot place a point that is a root
+                assert _roots_at_least(coeffs, c) == int((roots > c).sum()), (sizes, c)
+
+    def test_root_exactly_at_the_point_counts(self):
+        # (x - 3)^2 (x + 1): a double root at 3, a simple one at -1
+        coeffs = (1, -5, 3, 9)
+        assert _roots_at_least(coeffs, 3) == 2
+        assert _roots_at_least(coeffs, 4) == 0
+        assert _roots_at_least(coeffs, -1) == 3
+        assert _roots_at_least(coeffs, 2) == 2
+        # K_4 over ({0}, {1, 2, 3}): x^2 - 2x - 3 has its root 3 = n - 1
+        assert _roots_at_least((1, -2, -3), 3) == 1
+
+    def test_repeated_leading_root(self):
+        assert abs(largest_root((1, -5, 3, 9), 3) - 3.0) < 1e-14
+
+    def test_violated_bracket_raises(self):
+        with pytest.raises(ValueError, match="do not all lie in"):
+            largest_root((1, -5, 3, 9), 2)  # the leading root 3 is above 2
+        with pytest.raises(ValueError, match="do not all lie in"):
+            largest_root((1, -2, -3), 0)  # the root -1 is below -0
+        with pytest.raises(ValueError, match="do not all lie in"):
+            largest_root((1, -6, 8), 3)  # (x - 2)(x - 4): only the leading root is out
+
 
 
 class TestCharpoly:
