@@ -4,7 +4,8 @@ Vertices are always 0..n-1.  Adjacency is stored as one bitmask per vertex
 (``rows[v]`` has bit ``u`` set iff ``uv`` is an edge), which makes the
 neighbourhood-minus-a-set operations used by the condition deciders cheap
 integer arithmetic.  Graphs are frozen after construction and safe to share
-across workers.
+across workers.  A simple graph's rows are the mirror of their bits below the
+diagonal: the ``Graph`` check and the graph6 codec read only that triangle.
 
 Vertex sets are plain Python sets/iterables of ints on the public surface;
 internally they are bitmasks.
@@ -13,6 +14,7 @@ internally they are bitmasks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, pairwise
 from typing import Iterable, Iterator
 
 
@@ -43,6 +45,17 @@ def set_of(mask: int) -> frozenset[int]:
     return frozenset(iter_bits(mask))
 
 
+def _mirror(lower: list[int]) -> tuple[int, ...]:
+    """Rows of the simple graph whose row v has ``lower[v]`` below bit v."""
+    rows = list(lower)
+    for v, low in enumerate(lower):
+        while low:
+            u = low.bit_length() - 1
+            rows[u] |= 1 << v
+            low ^= 1 << u
+    return tuple(rows)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph: vertex count plus per-vertex neighbour bitmasks."""
@@ -55,16 +68,18 @@ class Graph:
             raise ValueError("vertex count must be nonnegative")
         if len(self.rows) != self.n:
             raise ValueError("rows length must equal vertex count")
-        full = (1 << self.n) - 1
-        for v, row in enumerate(self.rows):
-            if row & ~full:
+        rows = self.rows
+        mirror = _mirror([row & ((1 << v) - 1) for v, row in enumerate(rows)])
+        if tuple(rows) != mirror:  # then rows are out of range, looped or asymmetric
+            v = next(v for v in range(self.n) if rows[v] != mirror[v])
+            if rows[v] >> self.n:
                 raise ValueError(f"row {v} references vertices outside 0..{self.n - 1}")
-            if (row >> v) & 1:
+            if (rows[v] >> v) & 1:
                 raise ValueError(f"loop at vertex {v}")
-        for v, row in enumerate(self.rows):
-            for u in iter_bits(row):
-                if not (self.rows[u] >> v) & 1:
-                    raise ValueError(f"adjacency not symmetric at ({v}, {u})")
+            diff = rows[v] ^ mirror[v]  # above bit v only: the lower parts agree
+            u = (diff & -diff).bit_length() - 1
+            has, lacks = (v, u) if (rows[v] >> u) & 1 else (u, v)
+            raise ValueError(f"adjacency not symmetric at ({has}, {lacks})")
 
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
@@ -124,11 +139,14 @@ def join(g1: Graph, g2: Graph) -> Graph:
 # -- graph6 encoding --------------------------------------------------------
 #
 # N(n): one byte n+63 for n <= 62; bytes (126, b1, b2, b3) for 63 <= n < 2^18;
-# bytes (126, 126, b1..b6) for 2^18 <= n < 2^36.  Body: upper-triangle bits in
-# column-major order x(0,1), x(0,2), x(1,2), x(0,3), ..., packed into 6-bit
-# groups, each stored as value+63, zero-padded.
+# bytes (126, 126, b1..b6) for 2^18 <= n < 2^36.  Body: columns v = 0..n-1 in
+# turn, column v being x(0,v), ..., x(v-1,v), that is row v below bit v written
+# lowest bit first; the bits are zero-padded to 6-bit groups, each stored as value+63.
 
 GRAPH6_HEADER = b">>graph6<<"
+_SIXES = {value + 63: format(value, "06b") for value in range(64)}  # byte -> its 6 bits
+_SIX_BYTE = {six: byte for byte, six in _SIXES.items()}
+_SIX_BYTES = bytes(_SIXES)
 
 
 def _encode_size(n: int) -> bytes:
@@ -144,7 +162,7 @@ def _encode_size(n: int) -> bytes:
 
 
 def _decode_size(data: bytes) -> tuple[int, int]:
-    """Return (n, body offset); raises on malformed or oversized records."""
+    """Return (n, body offset); raises on malformed records."""
     if not data:
         raise Graph6Error("empty graph6 record")
     if data[0] != 126:
@@ -159,33 +177,17 @@ def _decode_size(data: bytes) -> tuple[int, int]:
         chunk, offset = data[1:4], 4
         if len(chunk) < 3:
             raise Graph6Error("truncated 4-byte size field")
-    n = 0
-    for byte in chunk:
-        if not 63 <= byte <= 126:
-            raise Graph6Error(f"invalid size byte {byte}")
-        n = (n << 6) | (byte - 63)
-    if n >= 1 << 36:
-        raise Graph6Error(f"unsupported graph6 size n={n}")
-    return n, offset
+    if bad := chunk.translate(None, _SIX_BYTES):
+        raise Graph6Error(f"invalid size byte {bad[0]}")
+    return int("".join([_SIXES[byte] for byte in chunk]), 2), offset
 
 
 def to_graph6(g: Graph) -> bytes:
     """Encode to a single graph6 record (no header, no trailing newline)."""
-    out = bytearray(_encode_size(g.n))
-    group = 0
-    filled = 0
-    for v in range(1, g.n):
-        col = g.rows[v]
-        for u in range(v):
-            group = (group << 1) | ((col >> u) & 1)
-            filled += 1
-            if filled == 6:
-                out.append(group + 63)
-                group = 0
-                filled = 0
-    if filled:
-        out.append((group << (6 - filled)) + 63)
-    return bytes(out)
+    # bin(column v | 1 << v) is '0b1' and then the column's v bits, top bit first
+    bits = "".join([bin(row & ((1 << v) - 1) | 1 << v)[:2:-1] for v, row in enumerate(g.rows)])
+    bits += "0" * (-len(bits) % 6)
+    return _encode_size(g.n) + bytes([_SIX_BYTE[bits[i:i + 6]] for i in range(0, len(bits), 6)])
 
 
 def parse_graph6(data: bytes | str) -> Graph:
@@ -205,22 +207,12 @@ def parse_graph6(data: bytes | str) -> Graph:
         raise Graph6Error(f"truncated graph6 body: need {need} bytes, got {len(body)}")
     if len(body) > need:
         raise Graph6Error(f"trailing bytes after graph6 body (expected {need}, got {len(body)})")
-    rows = [0] * n
-    bit = 0
-    for v in range(1, n):
-        for u in range(v):
-            byte = body[bit // 6]
-            if not 63 <= byte <= 126:
-                raise Graph6Error(f"invalid body byte {byte}")
-            if (byte - 63) >> (5 - bit % 6) & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            bit += 1
-    # padding bits are ignored, but the pad bytes still need to be in range
-    for byte in body[(bit + 5) // 6:]:
-        if not 63 <= byte <= 126:
-            raise Graph6Error(f"invalid body byte {byte}")
-    return Graph(n, tuple(rows))
+    if bad := body.translate(None, _SIX_BYTES):  # the pad bits' byte too
+        raise Graph6Error(f"invalid body byte {bad[0]}")
+    bits = "".join([_SIXES[byte] for byte in body])
+    spans = pairwise(accumulate(range(n), initial=0))  # column v: [v(v-1)/2, v(v+1)/2)
+    lower = [int(bits[lo:hi][::-1] or "0", 2) for lo, hi in spans]
+    return Graph(n, _mirror(lower))
 
 
 # -- components and the dense-order guard -----------------------------------

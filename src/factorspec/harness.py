@@ -30,7 +30,8 @@ from .extremal import (
     layout_charpoly,
     rho_hnb,
 )
-from .graph import GRAPH6_HEADER, Graph, Graph6Error, is_connected, parse_graph6, to_graph6
+from .graph import (GRAPH6_HEADER, Graph, Graph6Error, check_dense_order, is_connected,
+                    parse_graph6, to_graph6)
 from .oracle import all_ab_factors_oracle, all_fractional_oracle
 from .spectral import _poly_eval, _roots_at_least, hong_bound, largest_root, spectral_radius
 
@@ -284,6 +285,7 @@ def verify_hnb_witnesses(nmax: int) -> VerifyReport:
     """The deficiency functional at S = {} and T = the hub of hnb: exactly -2
     (integer) and -1 (fractional, where the hub is the T the functional
     derives) for every 3 <= b < n <= nmax."""
+    check_dense_order(nmax, "construction")  # before the loop builds every smaller order
     t0 = time.perf_counter()
     cases = 0
     failures = []

@@ -408,6 +408,19 @@ class TestDenseOrderGuard:
         code, out, err = run(capsys, "verify", "quotient", "--n-grid", "9", "--b-grid", "3")
         assert code == 2 and out == "" and "above the dense limit 8" in err
 
+    def test_lemma24_nmax(self, capsys, monkeypatch):
+        from factorspec import harness
+
+        assert run(capsys, "verify", "lemma24", "--nmax", "8")[0] == 0
+
+        def no_witness(n, b, mode):
+            raise AssertionError("witness computed for an oversized --nmax")
+
+        monkeypatch.setattr(harness, "hnb_witness", no_witness)
+        code, out, err = run(capsys, "verify", "lemma24", "--nmax", "9")
+        assert code == 2 and out == ""
+        assert err == "error: construction has order 9, above the dense limit 8\n"
+
     def test_dense_rho(self, capsys, monkeypatch):
         def no_matrix(g):
             raise AssertionError("adjacency matrix built above the limit")

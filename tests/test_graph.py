@@ -1,7 +1,10 @@
 """Graph construction, graph6 codec, components, and the degree reference."""
 
 import random
+import re
+from itertools import combinations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,8 +52,37 @@ class TestConstruction:
             from_edge_list(3, [(1, 1)])
 
     def test_asymmetric_rows_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^adjacency not symmetric at \(0, 1\)$"):
             Graph(2, (0b10, 0b00))
+        with pytest.raises(ValueError, match=r"^adjacency not symmetric at \(2, 0\)$"):
+            Graph(3, (0, 0, 0b001))
+
+    def test_asymmetric_message_names_a_differing_pair(self):
+        rng = random.Random(3)
+        for _ in range(200):
+            n = rng.randint(2, 9)
+            rows = list(random_graph(rng, n, rng.random()).rows)
+            pairs = list(combinations(range(n), 2))
+            for pair in rng.sample(pairs, rng.randint(1, min(3, len(pairs)))):
+                u, v = rng.sample(pair, 2)  # flip one side of the pair
+                rows[u] ^= 1 << v
+            with pytest.raises(ValueError, match="adjacency not symmetric") as info:
+                Graph(n, tuple(rows))
+            u, v = map(int, re.search(r"\((\d+), (\d+)\)", str(info.value)).groups())
+            assert (rows[u] >> v) & 1 != (rows[v] >> u) & 1
+
+    def test_out_of_range_row_rejected(self):
+        with pytest.raises(ValueError, match=r"^row 0 references vertices outside 0\.\.2$"):
+            Graph(3, (0b1000, 0, 0))
+        with pytest.raises(ValueError, match=r"^row 1 references vertices outside 0\.\.1$"):
+            Graph(2, (0b10, -1))
+
+    def test_loop_row_rejected(self):
+        with pytest.raises(ValueError, match=r"^loop at vertex 1$"):
+            Graph(3, (0b010, 0b011, 0))
+
+    def test_rows_as_list_accepted(self):
+        assert Graph(2, [0b10, 0b01]).edge_count() == 1
 
     def test_complete(self):
         assert complete(0).n == 0
@@ -137,8 +169,15 @@ class TestGraph6:
             parse_graph6(b"Bww")
 
     def test_invalid_body_byte(self):
-        with pytest.raises(Graph6Error):
+        with pytest.raises(Graph6Error, match="^invalid body byte 20$"):
             parse_graph6(b"B" + bytes([20]))
+
+    def test_first_invalid_body_byte_is_named(self):
+        # n = 5 has 10 bits: byte 0 holds data only, byte 1 data and two pad bits
+        with pytest.raises(Graph6Error, match="^invalid body byte 20$"):
+            parse_graph6(b"D" + bytes([20, 200]))
+        with pytest.raises(Graph6Error, match="^invalid body byte 200$"):
+            parse_graph6(b"D" + bytes([63, 200]))
 
     def test_empty_record(self):
         with pytest.raises(Graph6Error):
@@ -158,6 +197,36 @@ class TestGraph6:
         mask = data.draw(st.integers(min_value=0, max_value=(1 << len(pairs)) - 1))
         g = from_edge_list(n, [p for i, p in enumerate(pairs) if (mask >> i) & 1])
         assert parse_graph6(to_graph6(g)).rows == g.rows
+
+
+class TestGraph6AgainstNetworkx:
+    """The codec against networkx's graph6 reader and writer, which share no
+    code with it: a bit-order error made in both directions shows here."""
+
+    @pytest.fixture(scope="class")
+    def samples(self) -> list[tuple[Graph, bytes]]:
+        """Seeded random graphs and hnb(600, 5), each with networkx's record."""
+        rng = random.Random(14)
+        graphs = [random_graph(rng, n, p)
+                  for n in (1, 2, 3, 62, 63, 64, 200) for p in (0.0, 0.1, 0.5, 0.9, 1.0)]
+        out = []
+        for g in graphs + [build_hnb(600, 5)]:
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges())
+            out.append((g, nx.to_graph6_bytes(h, header=False).rstrip(b"\n")))
+        return out
+
+    def test_encode(self, samples):
+        for g, record in samples:
+            assert to_graph6(g) == record
+
+    def test_decode(self, samples):
+        for g, record in samples:
+            back = parse_graph6(record)
+            assert back.rows == g.rows
+            h = nx.from_graph6_bytes(record)
+            assert list(back.edges()) == sorted(tuple(sorted(e)) for e in h.edges())
 
 
 def components(g: Graph, excluded) -> list[frozenset[int]]:
