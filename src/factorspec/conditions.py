@@ -14,16 +14,16 @@ witness.  Two functionals cover the six deciders:
 The [a, b] deciders are the (g, f) ones with g = a < b = f, where q_star is
 the number of components.  The pair loop takes D by ascending size, then
 lexicographically, and S in one walk down the subsets of V - D in descending
-numeric order.  Two tables feed the walk: hi(S) over all of V, built once per
-call, and sum_{x in S} d_{G-D}(x) over V - D, built once per D.  The loop
-skips a pair whose lower bound lo(D) - hi(S) - |V - D - S| exceeds the least
-value so far, so ``pairs_examined`` depends on this order; pairs at that value
-are still evaluated, so the minimum and the witness do not.  The subset loop
-takes all 2^n subsets in numeric order.  Ties go to the least (sorted first
-set, sorted second set) pair of tuples.  Enumeration is exact: graphs above
-PAIR_ENUM_CAP (pair loop) or SUBSET_ENUM_CAP (subset loop) vertices raise
-``CapExceededError`` rather than being sampled, and no caller can lift these
-limits.
+numeric order.  As q <= |V - D - S|, the functional is at least the bound
+lo(D) - |V - D| + sum_{x in S} (d_{G-D}(x) - hi(x) + 1), tabulated once per D.
+A pair is skipped when its bound exceeds the least value so far, and a D when
+its least bound does, so ``pairs_examined`` depends on this order; pairs at
+that value are still evaluated, so the minimum and the witness do not.  The
+subset loop takes all 2^n subsets in numeric order.  Ties go to the least
+(sorted first set, sorted second set) pair of tuples.  Enumeration is exact:
+graphs above PAIR_ENUM_CAP (pair loop) or SUBSET_ENUM_CAP (subset loop)
+vertices raise ``CapExceededError`` rather than being sampled, and no caller
+can lift these limits.
 """
 
 from __future__ import annotations
@@ -220,30 +220,28 @@ def _minimize_pairs(
     threshold: int,
 ) -> ConditionReport:
     """Minimize the pair functional in the loop order of the module docstring,
-    reading each D's table of the subsets of V - D in reverse as S steps down."""
+    reading each D's table of bounds in reverse as S steps down."""
     _guard(g, lo, PAIR_ENUM_CAP, "3^n")
     n, rows = g.n, g.rows
     full = (1 << n) - 1
-    hi_minus = [0]  # hi(S) - |S| for every S, indexed by its mask
-    for v in range(n):
-        hi_minus += [h + hi[v] - 1 for h in hi_minus]
     best = (sum(lo) + n * n, 0, 0)  # a value above every value of the functional
     examined = 0
     for k in range(n + 1):
         for combo in combinations(range(n), k):
             dmask = sum(1 << v for v in combo)
-            lo_d = sum(lo[v] for v in combo)
             comp = full & ~dmask
-            degs = [0]  # sum_{x in S} d_{G-D}(x) - |S| over the submasks of comp, ascending
-            for v in iter_bits(comp):
-                d = (rows[v] & comp).bit_count() - 1
-                degs += [x + d for x in degs]
+            floor = sum(lo[v] for v in combo) - (n - k)  # lo(D) - |V - D|
+            terms = [(rows[v] & comp).bit_count() - hi[v] + 1 for v in iter_bits(comp)]
+            if floor + sum(t for t in terms if t < 0) > best[0]:
+                continue  # no S of this D can reach best
+            bounds = [floor]  # the bound over the submasks of comp, ascending
+            for t in terms:
+                bounds += [b + t for b in bounds]
             smask = comp
-            for deg in reversed(degs):
-                base = lo_d - hi_minus[smask]  # lo(D) - hi(S) + |S|
-                if base - (n - k) <= best[0]:
+            for bound in reversed(bounds):
+                if bound <= best[0]:
                     examined += 1
-                    value = (base + deg
+                    value = (bound + (n - k - smask.bit_count())
                              - _count_q(g, dmask | smask, smask, lo, strict, count_strict))
                     if value <= best[0]:
                         best = _least(best, value, dmask, smask)

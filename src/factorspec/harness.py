@@ -387,7 +387,7 @@ def verify_k1_join_bound(ns: Sequence[int]) -> VerifyReport:
 
 # -- JSON serialization ---------------------------------------------------------
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _round12(value):

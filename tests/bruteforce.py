@@ -116,27 +116,28 @@ def pair_loop_reference(
     """(verdict, minimum, D, S, pairs examined) of ``has_all_gf_factors``
     (``every``) or ``has_gf_factor``, by the documented loop: D by size, then
     lexicographically; S descending over the subsets of V - D; a pair evaluated
-    when lo(D) - hi(S) - |V - D - S| <= the least value so far; ties to the
-    least (D, S) pair of sorted tuples."""
+    when its bound lo(D) - hi(S) + sum_{x in S} d_{G-D}(x) - |V - D - S| (the
+    functional with q at its largest) <= the least value so far; ties to the
+    least (D, S) pair of sorted tuples.  The driver also skips a D whose least
+    bound exceeds the least value so far; no pair of such a D would be
+    evaluated, so this loop leaves that skip out and counts the same."""
     lo, hi = (funcs.g, funcs.f) if every else (funcs.f, funcs.g)
     n = g.n
     best = None
     examined = 0
     for k in range(n + 1):
         for d in combinations(range(n), k):
-            dmask, lo_d = mask_of(d, n), sum(lo[v] for v in d)
+            lo_d = sum(lo[v] for v in d)
             degrees = degrees_excluding(g, d)
-            for smask in range((1 << n) - 1, -1, -1):
-                if smask & dmask:
-                    continue
-                s = tuple(iter_bits(smask))
-                hi_s = sum(hi[v] for v in s)
-                if best is not None and lo_d - hi_s - (n - k - len(s)) > best[0]:
+            rest = [v for v in range(n) if v not in d]
+            subsets = [c for r in range(n - k + 1) for c in combinations(rest, r)]
+            for s in sorted(subsets, key=lambda c: mask_of(c, n), reverse=True):
+                base = lo_d + sum(degrees[x] - hi[x] for x in s)
+                if best is not None and base - (n - k - len(s)) > best[0]:
                     continue
                 examined += 1
                 q_hat, q_star = classify_components(g, d, s, funcs)
-                q = q_star if every else q_hat
-                candidate = (lo_d - hi_s + sum(degrees[x] for x in s) - q, d, s)
+                candidate = (base - (q_star if every else q_hat), d, s)
                 if best is None or candidate < best:
                     best = candidate
     threshold = -1 if every and not funcs.pointwise_equal else 0

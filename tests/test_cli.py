@@ -37,7 +37,7 @@ class TestCheck:
                            "--mode", "fractional", "--json")
         data = json.loads(out)
         assert code == 1
-        assert data["schema"] == 1
+        assert data["schema"] == 2
         assert data["verdict"] is False
         assert data["min_value"] == -1
 
@@ -283,7 +283,7 @@ class TestVerify:
         code, out, err = run(capsys, "verify", *argv, "--json")
         assert (code, err) == (0, "")
         assert out == (f'{{"cases_run": {cases}, "failures": [], "name": "{name}", '
-                       '"schema": 1}\n')
+                       '"schema": 2}\n')
 
     def test_hong_with_catalog(self, capsys, tmp_path):
         path = tmp_path / "cat.g6"
@@ -294,7 +294,7 @@ class TestVerify:
     def test_json(self, capsys):
         code, out, _ = run(capsys, "verify", "lemma24", "--nmax", "10", "--json")
         data = json.loads(out)
-        assert data["schema"] == 1 and data["failures"] == []
+        assert data["schema"] == 2 and data["failures"] == []
 
 
 class TestMineAndSuite:

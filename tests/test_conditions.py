@@ -451,29 +451,32 @@ class TestGoldenReports:
     CIRCULANT_12 = from_edge_list(12, [(i, (i + d) % 12) for i in range(12) for d in (1, 3)])
     STAR_12 = from_edge_list(13, [(0, i) for i in range(1, 13)])
     STAR_13 = from_edge_list(14, [(0, i) for i in range(1, 14)])
+    EDGELESS_16 = from_edge_list(16, [])  # at PAIR_ENUM_CAP; every D but the empty one skipped
 
     @pytest.mark.parametrize(
         "decide, graph, arg, expected",
         [
             (has_all_ab_factors, build_hnb(10, 3), DegreeBounds(2, 3),
-             (False, -2, [], [0], 46386)),
+             (False, -2, [], [0], 436)),
             (has_all_ab_factors, disjoint_union(complete(2), complete(2)), DegreeBounds(1, 2),
-             (False, -4, [], [0, 1, 2], 32)),
-            (has_gf_factor, PETERSEN, PETERSEN_FUNCS, (False, -1, [0], [4, 5], 35765)),
+             (False, -4, [], [0, 1, 2], 16)),
+            (has_gf_factor, PETERSEN, PETERSEN_FUNCS, (False, -1, [0], [4, 5], 4927)),
             (has_gf_factor, parse_graph6("EQyw"),
              DegreeFunctions((3, 3, 3, 3, 1, 2), (5, 5, 5, 5, 2, 2)),
-             (False, -4, [4], [0, 1, 2, 3], 252)),
+             (False, -4, [4], [0, 1, 2, 3], 89)),
             (has_all_gf_factors, PETERSEN, PETERSEN_FUNCS,
-             (False, -3, [0, 2, 6], [1, 3, 4, 5], 38272)),
+             (False, -3, [0, 2, 6], [1, 3, 4, 5], 6060)),
             (anstee_fractional_gf, PETERSEN, PETERSEN_FUNCS, (False, -1, [0], [4, 5], 1024)),
             (lu_all_fractional_gf, PETERSEN, PETERSEN_FUNCS,
              (False, -3, [0, 2, 6, 9], [1, 3, 4, 5, 7, 8], 1024)),
             (has_all_fractional_ab_factors, CIRCULANT_12, DegreeBounds(2, 3),
              (False, -6, [0, 2, 4, 6, 8, 10], [1, 3, 5, 7, 9, 11], 4096)),
             (has_all_ab_factors, STAR_12, DegreeBounds(1, 2),
-             (False, -23, [0], list(range(1, 13)), 8205)),
+             (False, -23, [0], list(range(1, 13)), 4098)),
             (has_all_ab_factors, STAR_13, DegreeBounds(1, 2),
-             (False, -25, [0], list(range(1, 14)), 16398)),
+             (False, -25, [0], list(range(1, 14)), 8194)),
+            (has_all_ab_factors, EDGELESS_16, DegreeBounds(1, 2),
+             (False, -32, [], list(range(16)), 1)),
         ],
     )
     def test_report(self, decide, graph, arg, expected):
@@ -487,21 +490,31 @@ class TestPairLoopOrder:
     the documented loop order in ``bruteforce.pair_loop_reference``."""
 
     def test_reports_match_reference(self):
+        # g = f takes the threshold-0 path and q_hat's parity path; the per-D
+        # skip fires on almost every D of an edgeless graph and on few of a
+        # complete graph's
         rng = random.Random(97)
-        for n in (5, 6, 7, 8):
-            for _ in range(2):
+        cases = []
+        for n in (5, 6, 7, 8, 9, 10):
+            for _ in range(2 if n <= 8 else 1):
                 g = from_edge_list(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
                                        if rng.random() < 0.5])
                 a = rng.randint(1, 2)
                 gfun = tuple(rng.randint(1, 3) for _ in range(n))
                 ffun = tuple(gv + rng.choice((0, 0, 1, 2)) for gv in gfun)
-                for funcs in (DegreeFunctions.constant(n, a, a + rng.randint(1, 2)),
-                              DegreeFunctions(gfun, ffun)):
-                    for decide, every in ((has_gf_factor, False), (has_all_gf_factors, True)):
-                        report = decide(g, funcs)
-                        assert (report.verdict, report.min_value, tuple(sorted(report.witness_s)),
-                                tuple(sorted(report.witness_t)), report.pairs_examined
-                                ) == pair_loop_reference(g, funcs, every)
+                cases += [(g, funcs) for funcs in (
+                    DegreeFunctions.constant(n, a, a + rng.randint(1, 2)),
+                    DegreeFunctions(gfun, ffun), DegreeFunctions(gfun, gfun))]
+        for n in (6, 9):
+            for g in (from_edge_list(n, []), complete(n)):
+                cases += [(g, DegreeFunctions.constant(n, a, b))
+                          for a, b in ((1, 1), (1, 2), (2, 3))]
+        for g, funcs in cases:
+            for decide, every in ((has_gf_factor, False), (has_all_gf_factors, True)):
+                report = decide(g, funcs)
+                assert (report.verdict, report.min_value, tuple(sorted(report.witness_s)),
+                        tuple(sorted(report.witness_t)), report.pairs_examined
+                        ) == pair_loop_reference(g, funcs, every)
 
 
 class TestMonotonicity:
