@@ -7,13 +7,10 @@ from .conditions import (
     ConditionReport,
     DegreeBounds,
     DegreeFunctions,
-    anstee_fractional_gf,
-    classify_components,
     delta,
     has_all_ab_factors,
     has_all_fractional_ab_factors,
     has_all_gf_factors,
-    has_gf_factor,
     lu_all_fractional_gf,
     theta,
 )
@@ -21,22 +18,17 @@ from .extremal import (
     build_g1,
     build_g2,
     build_hnb,
-    build_k1_join_cliques,
     g12_min_order,
     hnb_witness,
     is_hnb,
     rho_hnb,
-    rho_k1_join_cliques,
     threshold_n,
 )
 from .graph import (
     Graph,
     Graph6Error,
-    complete,
-    disjoint_union,
     from_edge_list,
     is_connected,
-    join,
     parse_graph6,
     to_graph6,
 )

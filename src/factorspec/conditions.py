@@ -2,20 +2,19 @@
 
 Every decider minimizes a deficiency functional over all the vertex subsets its
 characterization quantifies over and reports the minimum with a minimizing
-witness.  Two functionals cover the six deciders:
+witness.  Two functionals cover the four deciders:
 
-- over disjoint pairs (D, S): lo(D) - hi(S) + sum_{x in S} d_{G-D}(x) - q,
-  with (lo, hi, q) = (f, g, q_hat) for ``has_gf_factor`` and (g, f, q_star)
-  for ``has_all_gf_factors``;
-- over subsets S: x(S) - y(T) + sum_{v in T} d_{G-S}(v) with
-  T = {v not in S : d_{G-S}(v) < y(v)}, and (x, y) = (f, g) for
-  ``anstee_fractional_gf`` and (g, f) for ``lu_all_fractional_gf``.
+- ``has_all_gf_factors`` minimizes g(D) - f(S) + sum_{x in S} d_{G-D}(x) - q
+  over disjoint pairs (D, S), where q counts the components C of G - (D u S)
+  that hold some v with g(v) < f(v) or have f(C) + e(C, S) odd;
+- ``lu_all_fractional_gf`` minimizes g(S) - f(T) + sum_{v in T} d_{G-S}(v)
+  over subsets S, with T = {v not in S : d_{G-S}(v) < f(v)}.
 
-The [a, b] deciders are the (g, f) ones with g = a < b = f, where q_star is
-the number of components.  The pair loop takes D by ascending size, then
+The [a, b] deciders are these with g = a < b = f, where q is the number of
+components.  The pair loop takes D by ascending size, then
 lexicographically, and S in one walk down the subsets of V - D in descending
 numeric order.  As q <= |V - D - S|, the functional is at least the bound
-lo(D) - |V - D| + sum_{x in S} (d_{G-D}(x) - hi(x) + 1), tabulated once per D.
+g(D) - |V - D| + sum_{x in S} (d_{G-D}(x) - f(x) + 1), tabulated once per D.
 A pair is skipped when its bound exceeds the least value so far, and a D when
 its least bound does, so ``pairs_examined`` depends on this order; pairs at
 that value are still evaluated, so the minimum and the witness do not.  The
@@ -98,17 +97,15 @@ class ConditionReport:
 # -- the two functionals ---------------------------------------------------------
 
 
-def _count_q(
-    g: Graph, avoid: int, second: int, weights: Sequence[int], strict: int, count_strict: bool
-) -> int:
+def _count_q(g: Graph, avoid: int, second: int, weights: Sequence[int], strict: int) -> int:
     """q over the components C of G - avoid: one meeting ``strict`` (the vertices
-    with g(v) < f(v)) counts exactly when ``count_strict``, any other when
-    weights(C) + e(C, second) is odd (g = f there, so weights may be either)."""
+    with g(v) < f(v)) always counts, any other when weights(C) + e(C, second)
+    is odd (g = f there, so weights may be either)."""
     rows = g.rows
     q = 0
     for comp in component_masks(rows, g.n, avoid):
         if comp & strict:
-            q += count_strict
+            q += 1
         else:
             parity = 0
             for v in iter_bits(comp):
@@ -138,11 +135,6 @@ def _subset_value(terms: list[tuple], smask: int) -> tuple[int, int]:
     return value, tmask
 
 
-def _strict_mask(funcs: DegreeFunctions) -> int:
-    """The vertices with g(v) < f(v), as a bitmask."""
-    return sum(1 << v for v, (gv, fv) in enumerate(zip(funcs.g, funcs.f)) if gv < fv)
-
-
 def delta(g: Graph, bounds: DegreeBounds, s: Iterable[int], t: Iterable[int]) -> int:
     """Deficiency a|S| - b|T| + sum_{x in T} d_{G-S}(x) - q(S, T), where
     q(S, T) is the number of components of G - (S u T)."""
@@ -154,7 +146,7 @@ def delta(g: Graph, bounds: DegreeBounds, s: Iterable[int], t: Iterable[int]) ->
     return (
         bounds.a * smask.bit_count()
         - sum(bounds.b - (g.rows[x] & keep).bit_count() for x in iter_bits(tmask))
-        - _count_q(g, smask | tmask, tmask, (), (1 << g.n) - 1, True)  # counts every component
+        - len(component_masks(g.rows, g.n, smask | tmask))
     )
 
 
@@ -165,34 +157,12 @@ def theta(g: Graph, bounds: DegreeBounds, s: Iterable[int]) -> tuple[int, frozen
     return value, set_of(tmask)
 
 
-def classify_components(
-    g: Graph, d: Iterable[int], s: Iterable[int], funcs: DegreeFunctions
-) -> tuple[int, int]:
-    """Component counts (q_hat, q_star) of G - (D u S).
-
-    q_hat counts components C with g = f throughout C and
-    e(V(C), S) + f(V(C)) odd; q_star counts components with some g(v) < f(v)
-    or that same parity condition.
-    """
-    dmask = mask_of(d, g.n)
-    smask = mask_of(s, g.n)
-    if dmask & smask:
-        raise ValueError("D and S must be disjoint")
-    _check_length(g, funcs.g)
-    strict, avoid = _strict_mask(funcs), dmask | smask
-    return tuple(_count_q(g, avoid, smask, funcs.f, strict, counts) for counts in (False, True))
-
-
 # -- exhaustive minimization -------------------------------------------------------
 
 
-def _check_length(g: Graph, prescribed: Sequence[int]) -> None:
-    if len(prescribed) != g.n:
-        raise ValueError(f"degree functions cover {len(prescribed)} vertices, graph has {g.n}")
-
-
-def _guard(g: Graph, prescribed: Sequence[int], cap: int, loop: str) -> None:
-    _check_length(g, prescribed)
+def _guard(g: Graph, funcs: DegreeFunctions, cap: int, loop: str) -> None:
+    if len(funcs.g) != g.n:
+        raise ValueError(f"degree functions cover {len(funcs.g)} vertices, graph has {g.n}")
     if g.n == 0:
         raise ValueError("deciders reject the empty graph")
     if g.n > cap:
@@ -215,14 +185,23 @@ def _report(best: tuple[int, int, int], threshold: int, examined: int) -> Condit
     return ConditionReport(value >= threshold, value, set_of(smask), set_of(tmask), examined)
 
 
-def _minimize_pairs(
-    g: Graph, lo: tuple[int, ...], hi: tuple[int, ...], strict: int, count_strict: bool,
-    threshold: int,
-) -> ConditionReport:
-    """Minimize the pair functional in the loop order of the module docstring,
-    reading each D's table of bounds in reverse as S steps down."""
-    _guard(g, lo, PAIR_ENUM_CAP, "3^n")
+# -- the four deciders --------------------------------------------------------------
+
+
+def has_all_gf_factors(g: Graph, funcs: DegreeFunctions) -> ConditionReport:
+    """All-(g, f)-factors: g(D) - f(S) + sum_{x in S} d_{G-D}(x) - q >= -1
+    (0 when g = f pointwise) over all disjoint D, S.
+
+    The verdict is the characterization's, which reports false when the box
+    admits no even-total demand at all (g = f with odd total), rather than
+    the vacuous truth of the empty quantifier.  The pair loop runs in the
+    order of the module docstring, reading each D's table of bounds in
+    reverse as S steps down.
+    """
+    _guard(g, funcs, PAIR_ENUM_CAP, "3^n")
+    lo, hi = funcs.g, funcs.f
     n, rows = g.n, g.rows
+    strict = sum(1 << v for v in range(n) if lo[v] < hi[v])  # the v with g(v) < f(v)
     full = (1 << n) - 1
     best = (sum(lo) + n * n, 0, 0)  # a value above every value of the functional
     examined = 0
@@ -230,7 +209,7 @@ def _minimize_pairs(
         for combo in combinations(range(n), k):
             dmask = sum(1 << v for v in combo)
             comp = full & ~dmask
-            floor = sum(lo[v] for v in combo) - (n - k)  # lo(D) - |V - D|
+            floor = sum(lo[v] for v in combo) - (n - k)  # g(D) - |V - D|
             terms = [(rows[v] & comp).bit_count() - hi[v] + 1 for v in iter_bits(comp)]
             if floor + sum(t for t in terms if t < 0) > best[0]:
                 continue  # no S of this D can reach best
@@ -242,44 +221,11 @@ def _minimize_pairs(
                 if bound <= best[0]:
                     examined += 1
                     value = (bound + (n - k - smask.bit_count())
-                             - _count_q(g, dmask | smask, smask, lo, strict, count_strict))
+                             - _count_q(g, dmask | smask, smask, lo, strict))
                     if value <= best[0]:
                         best = _least(best, value, dmask, smask)
                 smask = (smask - 1) & comp
-    return _report(best, threshold, examined)
-
-
-def _minimize_subsets(g: Graph, x: tuple[int, ...], y: tuple[int, ...]) -> ConditionReport:
-    """Minimize the subset functional over every S; the verdict is value >= 0."""
-    _guard(g, x, SUBSET_ENUM_CAP, "2^n")
-    terms = _subset_terms(g, x, y)
-    best = (sum(x) + 1, 0, 0)  # a value above every value of the functional
-    for smask in range(1 << g.n):
-        value, tmask = _subset_value(terms, smask)
-        if value <= best[0]:
-            best = _least(best, value, smask, tmask)
-    return _report(best, 0, 1 << g.n)
-
-
-# -- the six deciders ---------------------------------------------------------------
-
-
-def has_gf_factor(g: Graph, funcs: DegreeFunctions) -> ConditionReport:
-    """(g, f)-factor existence: f(D) - g(S) + sum_{x in S} d_{G-D}(x) - q_hat >= 0
-    over all disjoint D, S (witness slots hold D and S)."""
-    return _minimize_pairs(g, funcs.f, funcs.g, _strict_mask(funcs), False, 0)
-
-
-def has_all_gf_factors(g: Graph, funcs: DegreeFunctions) -> ConditionReport:
-    """All-(g, f)-factors: g(D) - f(S) + sum_{x in S} d_{G-D}(x) - q_star >= -1
-    (0 when g = f pointwise) over all disjoint D, S.
-
-    The verdict is the characterization's, which reports false when the box
-    admits no even-total demand at all (g = f with odd total), rather than
-    the vacuous truth of the empty quantifier.
-    """
-    threshold = 0 if funcs.pointwise_equal else -1
-    return _minimize_pairs(g, funcs.g, funcs.f, _strict_mask(funcs), True, threshold)
+    return _report(best, 0 if funcs.pointwise_equal else -1, examined)
 
 
 def has_all_ab_factors(g: Graph, bounds: DegreeBounds) -> ConditionReport:
@@ -289,16 +235,17 @@ def has_all_ab_factors(g: Graph, bounds: DegreeBounds) -> ConditionReport:
     return has_all_gf_factors(g, DegreeFunctions.constant(g.n, bounds.a, bounds.b))
 
 
-def anstee_fractional_gf(g: Graph, funcs: DegreeFunctions) -> ConditionReport:
-    """Fractional (g, f)-factor existence: f(S) - g(T) + sum_{v in T} d_{G-S}(v) >= 0
-    for every S, with T = {v not in S : d_{G-S}(v) < g(v)}."""
-    return _minimize_subsets(g, funcs.f, funcs.g)
-
-
 def lu_all_fractional_gf(g: Graph, funcs: DegreeFunctions) -> ConditionReport:
     """All fractional (g, f)-factors: g(S) - f(T) + sum_{x in T} d_{G-S}(x) >= 0
     for every S, with T = {v not in S : d_{G-S}(v) < f(v)}."""
-    return _minimize_subsets(g, funcs.g, funcs.f)
+    _guard(g, funcs, SUBSET_ENUM_CAP, "2^n")
+    terms = _subset_terms(g, funcs.g, funcs.f)
+    best = (sum(funcs.g) + 1, 0, 0)  # a value above every value of the functional
+    for smask in range(1 << g.n):
+        value, tmask = _subset_value(terms, smask)
+        if value <= best[0]:
+            best = _least(best, value, smask, tmask)
+    return _report(best, 0, 1 << g.n)
 
 
 def has_all_fractional_ab_factors(g: Graph, bounds: DegreeBounds) -> ConditionReport:

@@ -143,23 +143,6 @@ def g12_min_order(a: int, b: int) -> int:
     return _ceil_div(3 * b * (b + 1), a) + 3 * b + 7
 
 
-# -- hub-over-two-cliques join (the side claim of the integer proof) ----------
-
-
-def build_k1_join_cliques(n: int, r: int) -> Graph:
-    """K_1 joined to (K_r u K_{n-1-r}): two cliques sharing only a hub."""
-    if not 1 <= r <= n - 2:
-        raise ValueError(f"need 1 <= r <= n-2, got n={n}, r={r}")
-    return _clique_join_layout(r, 1, n - 1 - r)
-
-
-def rho_k1_join_cliques(n: int, r: int) -> float:
-    """Spectral radius of the hub-over-two-cliques join, via its quotient polynomial."""
-    if not 1 <= r <= n - 2:
-        raise ValueError(f"need 1 <= r <= n-2, got n={n}, r={r}")
-    return largest_root(layout_charpoly(r, 1, n - 1 - r), n - 1)
-
-
 # -- main-theorem order thresholds ---------------------------------------------
 
 

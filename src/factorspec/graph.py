@@ -5,7 +5,8 @@ Vertices are always 0..n-1.  Adjacency is stored as one bitmask per vertex
 neighbourhood-minus-a-set operations used by the condition deciders cheap
 integer arithmetic.  Graphs are frozen after construction and safe to share
 across workers.  A simple graph's rows are the mirror of their bits below the
-diagonal: the ``Graph`` check and the graph6 codec read only that triangle.
+diagonal: the ``Graph`` check and the graph6 codec read only that triangle,
+and graph6 decode builds its rows as that mirror, so it skips the check.
 
 Vertex sets are plain Python sets/iterables of ints on the public surface;
 internally they are bitmasks.
@@ -84,20 +85,8 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.rows[u] >> v) & 1)
-
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.rows) // 2
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Yield edges (u, v) with u < v in lexicographic order."""
-        for u in range(self.n):
-            for v in iter_bits(self.rows[u] >> (u + 1)):
-                yield (u, u + 1 + v)
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        return set_of(self.rows[v])
 
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -111,29 +100,6 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return Graph(n, tuple(rows))
-
-
-def complete(n: int) -> Graph:
-    """Complete graph K_n."""
-    if n < 0:
-        raise ValueError("vertex count must be nonnegative")
-    full = (1 << n) - 1
-    return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
-
-
-def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    """Disjoint union; g2's vertices are relabelled by offset g1.n."""
-    rows = list(g1.rows) + [row << g1.n for row in g2.rows]
-    return Graph(g1.n + g2.n, tuple(rows))
-
-
-def join(g1: Graph, g2: Graph) -> Graph:
-    """Join: disjoint union plus all g1.n * g2.n cross edges."""
-    left = (1 << g1.n) - 1
-    right = ((1 << g2.n) - 1) << g1.n
-    rows = [row | right for row in g1.rows]
-    rows += [(row << g1.n) | left for row in g2.rows]
-    return Graph(g1.n + g2.n, tuple(rows))
 
 
 # -- graph6 encoding --------------------------------------------------------
@@ -212,7 +178,10 @@ def parse_graph6(data: bytes | str) -> Graph:
     bits = "".join([_SIXES[byte] for byte in body])
     spans = pairwise(accumulate(range(n), initial=0))  # column v: [v(v-1)/2, v(v+1)/2)
     lower = [int(bits[lo:hi][::-1] or "0", 2) for lo, hi in spans]
-    return Graph(n, _mirror(lower))
+    g = object.__new__(Graph)  # a mirror is a simple graph, so skip the check
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "rows", _mirror(lower))
+    return g
 
 
 # -- components and the dense-order guard -----------------------------------

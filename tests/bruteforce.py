@@ -2,11 +2,12 @@
 oracle for the blossom matching engine; a pure-Python max-flow deciding
 fractional p-factors on the bipartite double cover, the test oracle for
 ``all_fractional_oracle``; degrees in G - S, from which the tests
-re-evaluate the deficiency functionals; the pair loop of the integer deciders
-in its documented order, the test oracle for their ``pairs_examined``; and the
-quotient of a built graph over consecutive vertex blocks, counted vertex by
-vertex, with its characteristic polynomial, the test oracle for
-``extremal.layout_charpoly``."""
+re-evaluate the deficiency functionals; the component count q of the
+all-(g, f)-factors functional, by breadth-first search over Python sets; the
+pair loop of the integer decider in its documented order, the test oracle for
+its ``pairs_examined``; and the quotient of a built graph over consecutive
+vertex blocks, counted vertex by vertex, with its characteristic polynomial,
+the test oracle for ``extremal.layout_charpoly``."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from collections import deque
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from factorspec import DegreeFunctions, classify_components
+from factorspec import DegreeFunctions
 from factorspec.graph import Graph, iter_bits, mask_of
 
 BRUTE_FORCE_LIMIT = 12
@@ -110,37 +111,58 @@ def degrees_excluding(g: Graph, excluded: Iterable[int]) -> dict[int, int]:
     return {v: (g.rows[v] & keep).bit_count() for v in range(g.n) if not (smask >> v) & 1}
 
 
+def q_count(g: Graph, d: Iterable[int], s: Iterable[int], funcs: DegreeFunctions) -> int:
+    """q(D, S) of the all-(g, f)-factors functional: the components C of
+    G - (D u S) that hold some v with g(v) < f(v) or have f(C) + e(C, S) odd."""
+    s = set(s)
+    neighbours = [set(iter_bits(row)) for row in g.rows]
+    seen = set(d) | s
+    q = 0
+    for start in range(g.n):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp, queue = [start], deque([start])
+        while queue:
+            for u in neighbours[queue.popleft()] - seen:
+                seen.add(u)
+                comp.append(u)
+                queue.append(u)
+        strict = any(funcs.g[v] < funcs.f[v] for v in comp)
+        odd = sum(funcs.f[v] + len(neighbours[v] & s) for v in comp) % 2 == 1
+        q += strict or odd
+    return q
+
+
 def pair_loop_reference(
-    g: Graph, funcs: DegreeFunctions, every: bool
+    g: Graph, funcs: DegreeFunctions
 ) -> tuple[bool, int, tuple[int, ...], tuple[int, ...], int]:
-    """(verdict, minimum, D, S, pairs examined) of ``has_all_gf_factors``
-    (``every``) or ``has_gf_factor``, by the documented loop: D by size, then
-    lexicographically; S descending over the subsets of V - D; a pair evaluated
-    when its bound lo(D) - hi(S) + sum_{x in S} d_{G-D}(x) - |V - D - S| (the
+    """(verdict, minimum, D, S, pairs examined) of ``has_all_gf_factors``,
+    by the documented loop: D by size, then lexicographically; S descending
+    over the subsets of V - D; a pair evaluated when its bound
+    g(D) - f(S) + sum_{x in S} d_{G-D}(x) - |V - D - S| (the
     functional with q at its largest) <= the least value so far; ties to the
     least (D, S) pair of sorted tuples.  The driver also skips a D whose least
     bound exceeds the least value so far; no pair of such a D would be
     evaluated, so this loop leaves that skip out and counts the same."""
-    lo, hi = (funcs.g, funcs.f) if every else (funcs.f, funcs.g)
     n = g.n
     best = None
     examined = 0
     for k in range(n + 1):
         for d in combinations(range(n), k):
-            lo_d = sum(lo[v] for v in d)
+            g_d = sum(funcs.g[v] for v in d)
             degrees = degrees_excluding(g, d)
             rest = [v for v in range(n) if v not in d]
             subsets = [c for r in range(n - k + 1) for c in combinations(rest, r)]
             for s in sorted(subsets, key=lambda c: mask_of(c, n), reverse=True):
-                base = lo_d + sum(degrees[x] - hi[x] for x in s)
+                base = g_d + sum(degrees[x] - funcs.f[x] for x in s)
                 if best is not None and base - (n - k - len(s)) > best[0]:
                     continue
                 examined += 1
-                q_hat, q_star = classify_components(g, d, s, funcs)
-                candidate = (base - (q_star if every else q_hat), d, s)
+                candidate = (base - q_count(g, d, s, funcs), d, s)
                 if best is None or candidate < best:
                     best = candidate
-    threshold = -1 if every and not funcs.pointwise_equal else 0
+    threshold = 0 if funcs.pointwise_equal else -1
     return (best[0] >= threshold,) + best + (examined,)
 
 

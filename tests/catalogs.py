@@ -10,21 +10,59 @@ silently.
 Generated catalogs are checked in as graph6 files under tests/data so a
 fresh checkout does not pay the ~6 minute n=8 generation; the count
 assertions re-validate them on every load.
+
+The small builders the tests share (complete graphs, disjoint unions, joins,
+the hub over two cliques, the edge list of a graph) live here as well.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from pathlib import Path
+from typing import Iterator
 
 import networkx as nx
 
-from factorspec.graph import Graph, iter_bits, parse_graph6, to_graph6
+from factorspec.graph import Graph, from_edge_list, iter_bits, parse_graph6, to_graph6
 
 CACHE_DIR = Path(__file__).parent / "data"
 
 # numbers of simple graphs / connected simple graphs on n unlabeled vertices
 GRAPH_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
+
+
+def complete(n: int) -> Graph:
+    """Complete graph K_n."""
+    full = (1 << n) - 1
+    return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
+
+
+def disjoint_union(g1: Graph, g2: Graph) -> Graph:
+    """Disjoint union; g2's vertices are relabelled by offset g1.n."""
+    return Graph(g1.n + g2.n, (*g1.rows, *(row << g1.n for row in g2.rows)))
+
+
+def join(g1: Graph, g2: Graph) -> Graph:
+    """Join: disjoint union plus all g1.n * g2.n cross edges."""
+    left = (1 << g1.n) - 1
+    right = ((1 << g2.n) - 1) << g1.n
+    return Graph(g1.n + g2.n, (*(row | right for row in g1.rows),
+                               *((row << g1.n) | left for row in g2.rows)))
+
+
+def k1_join_cliques(n: int, r: int) -> Graph:
+    """K_1 joined to (K_r u K_{n-1-r}), edge by edge, with the hub last."""
+    cliques = [range(r), range(r, n - 1)]
+    return from_edge_list(n, [e for c in cliques for e in combinations(c, 2)]
+                          + [(v, n - 1) for v in range(n - 1)])
+
+
+def edges(g: Graph) -> Iterator[tuple[int, int]]:
+    """Yield edges (u, v) with u < v in lexicographic order."""
+    for u in range(g.n):
+        for v in iter_bits(g.rows[u] >> (u + 1)):
+            yield (u, u + 1 + v)
 
 
 def _certificate(n: int, rows: tuple[int, ...]) -> tuple:
@@ -51,7 +89,7 @@ def _certificate(n: int, rows: tuple[int, ...]) -> tuple:
 def _to_nx(g: Graph) -> nx.Graph:
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges())
+    h.add_edges_from(edges(g))
     return h
 
 

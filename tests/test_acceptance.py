@@ -11,12 +11,10 @@ import time
 from factorspec import (
     DegreeBounds,
     DegreeFunctions,
-    complete,
     from_edge_list,
     has_all_ab_factors,
     has_all_gf_factors,
     parse_graph6,
-    rho_k1_join_cliques,
     spectral_radius,
     threshold_n,
     to_graph6,
@@ -29,9 +27,11 @@ from factorspec.harness import (
     verify_k1_join_bound,
     verify_quotient_transfer,
 )
+from factorspec.extremal import layout_charpoly
 from factorspec.oracle import perfect_matching
+from factorspec.spectral import largest_root
 from bruteforce import perfect_matching_bruteforce
-from catalogs import all_graphs, connected_up_to
+from catalogs import all_graphs, complete, connected_up_to, k1_join_cliques
 
 
 def test_c01_hub_witness_values_exact():
@@ -109,10 +109,8 @@ def test_c08_hub_two_cliques_stay_below_n_minus_2():
     assert report.elapsed < 30.0, f"took {report.elapsed:.2f}s, budget 30s"
     # quotient route spot-checked against dense iteration at the smallest order
     for r in range(2, 8):
-        from factorspec import build_k1_join_cliques
-
-        dense = spectral_radius(build_k1_join_cliques(10, r)).rho
-        assert abs(rho_k1_join_cliques(10, r) - dense) < 1e-8
+        dense = spectral_radius(k1_join_cliques(10, r)).rho
+        assert abs(largest_root(layout_charpoly(r, 1, 9 - r), 9) - dense) < 1e-8
     print(f"PASS criterion 8: rho(K_1 v (K_r u K_s)) < n-2 by exact root count on "
           f"{report.cases_run} cases ({report.elapsed:.2f}s)")
 

@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from factorspec import build_hnb, complete, from_edge_list, graph, spectral, to_graph6
+from factorspec import build_hnb, from_edge_list, graph, spectral, to_graph6
 from factorspec.cli import build_parser, main
-from catalogs import CACHE_DIR, connected_graphs
+from catalogs import CACHE_DIR, complete, connected_graphs
 
 
 def run(capsys, *argv):

@@ -1,4 +1,4 @@
-"""The deficiency functionals and the six exhaustive deciders.
+"""The deficiency functionals and the four exhaustive deciders.
 
 Witness soundness is the load-bearing property: every failing report must
 reproduce its minimum when the functional is re-evaluated at the witness
@@ -14,25 +14,21 @@ from factorspec import (
     CapExceededError,
     DegreeBounds,
     DegreeFunctions,
-    anstee_fractional_gf,
-    classify_components,
-    complete,
     delta,
-    disjoint_union,
     from_edge_list,
     has_all_ab_factors,
     has_all_fractional_ab_factors,
     has_all_gf_factors,
-    has_gf_factor,
     has_h_factor,
     lu_all_fractional_gf,
     parse_graph6,
     theta,
+    to_graph6,
 )
 from factorspec import conditions
 from factorspec.extremal import build_hnb
-from bruteforce import degrees_excluding, pair_loop_reference
-from catalogs import all_graphs, connected_graphs
+from bruteforce import degrees_excluding, has_fractional_factor, pair_loop_reference, q_count
+from catalogs import all_graphs, complete, connected_graphs, disjoint_union, edges
 
 
 def k(n):
@@ -102,38 +98,19 @@ class TestTheta:
                 assert value >= 0
 
 
-class TestClassifyComponents:
-    def test_parity_forced(self):
-        assert classify_components(k(3), (), (), DegreeFunctions.constant(3, 1, 1)) == (1, 1)
-        assert classify_components(k(4), (), (), DegreeFunctions.constant(4, 1, 1)) == (0, 0)
-
-    def test_definition_split(self):
-        assert classify_components(k(4), (), (), DegreeFunctions.constant(4, 1, 2)) == (0, 1)
-
-    def test_edges_to_s_parity(self):
-        # path 0-1-2, S={1}: components {0},{2}, each with e(C,S)=1, f(C)=1 -> even
-        path = from_edge_list(3, [(0, 1), (1, 2)])
-        funcs = DegreeFunctions.constant(3, 1, 1)
-        assert classify_components(path, (), (1,), funcs) == (0, 0)
-
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            classify_components(k(3), (0,), (0,), DegreeFunctions.constant(3, 1, 1))
-
-
 class TestGfFactor:
+    """At g = f the all-factors decider decides f-factor existence: there the
+    all-(g, f)-factors condition is Lovasz's (g, f)-factor condition."""
+
     def test_perfect_matching_cases(self):
-        assert has_gf_factor(k(2), DegreeFunctions.constant(2, 1, 1)).verdict
-        report = has_gf_factor(k(3), DegreeFunctions.constant(3, 1, 1))
+        assert has_all_gf_factors(k(2), DegreeFunctions.constant(2, 1, 1)).verdict
+        report = has_all_gf_factors(k(3), DegreeFunctions.constant(3, 1, 1))
         assert not report.verdict
         assert report.min_value == -1
         assert report.witness_s == frozenset() and report.witness_t == frozenset()
 
-    def test_k4_interval(self):
-        assert has_gf_factor(k(4), DegreeFunctions.constant(4, 1, 2)).verdict
-
     def test_agrees_with_gadget_oracle(self):
-        # with g = f = h the single-factor decider matches h-factor existence
+        # with g = f = h the decider matches h-factor existence
         rng = random.Random(21)
         for n in range(2, 6):
             for g in all_graphs(n):
@@ -142,7 +119,7 @@ class TestGfFactor:
                     if any(h[v] > g.degree(v) for v in range(n)):
                         continue
                     funcs = DegreeFunctions(h, h)
-                    assert has_gf_factor(g, funcs).verdict == has_h_factor(g, h)[0]
+                    assert has_all_gf_factors(g, funcs).verdict == has_h_factor(g, h)[0]
 
 
 class TestAllGfFactors:
@@ -224,15 +201,9 @@ class TestAllAbFactors:
     def test_function_length_must_match_graph(self):
         funcs = DegreeFunctions.constant(3, 1, 2)
         with pytest.raises(ValueError):
-            has_gf_factor(k(4), funcs)
-        with pytest.raises(ValueError):
             has_all_gf_factors(k(4), funcs)
         with pytest.raises(ValueError):
-            anstee_fractional_gf(k(4), funcs)
-        with pytest.raises(ValueError):
             lu_all_fractional_gf(k(4), funcs)
-        with pytest.raises(ValueError):
-            classify_components(k(4), (), (), funcs)
 
 
 class TestEnumerationCaps:
@@ -240,10 +211,8 @@ class TestEnumerationCaps:
     at 5, every decider runs at n = 5 and refuses n = 6, naming its loop."""
 
     DECIDERS = (
-        (has_gf_factor, "funcs", "3^n"),
         (has_all_gf_factors, "funcs", "3^n"),
         (has_all_ab_factors, "bounds", "3^n"),
-        (anstee_fractional_gf, "funcs", "2^n"),
         (lu_all_fractional_gf, "funcs", "2^n"),
         (has_all_fractional_ab_factors, "bounds", "2^n"),
     )
@@ -268,11 +237,12 @@ class TestEnumerationCaps:
 
 class TestFractionalDeciders:
     def test_anstee_examples(self):
-        assert anstee_fractional_gf(k(3), DegreeFunctions.constant(3, 2, 2)).verdict
-        report = anstee_fractional_gf(k(3), DegreeFunctions((2, 2, 1), (2, 2, 1)))
+        # at g = f Lu's condition is Anstee's fractional f-factor condition
+        assert lu_all_fractional_gf(k(3), DegreeFunctions.constant(3, 2, 2)).verdict
+        report = lu_all_fractional_gf(k(3), DegreeFunctions((2, 2, 1), (2, 2, 1)))
         assert not report.verdict and report.min_value == -1
         assert report.witness_s == frozenset({2})
-        report = anstee_fractional_gf(k(1), DegreeFunctions.constant(1, 1, 1))
+        report = lu_all_fractional_gf(k(1), DegreeFunctions.constant(1, 1, 1))
         assert not report.verdict and report.min_value == -1
 
     def test_lu_examples(self):
@@ -281,6 +251,8 @@ class TestFractionalDeciders:
         assert not report.verdict and len(report.witness_s) == 1
 
     def test_lu_reduces_to_anstee_when_equal(self):
+        # at g = f = p it is Anstee's condition for a fractional p-factor,
+        # decided here by max flow on the double cover
         rng = random.Random(31)
         for _ in range(120):
             n = rng.randint(1, 6)
@@ -288,10 +260,7 @@ class TestFractionalDeciders:
             g = graphs[rng.randrange(len(graphs))]
             p = tuple(rng.randint(1, max(1, n - 1)) for _ in range(n))
             funcs = DegreeFunctions(p, p)
-            assert (
-                lu_all_fractional_gf(g, funcs).verdict
-                == anstee_fractional_gf(g, funcs).verdict
-            )
+            assert lu_all_fractional_gf(g, funcs).verdict == has_fractional_factor(g, p)
 
     def test_theta_decider(self):
         assert has_all_fractional_ab_factors(k(5), DegreeBounds(1, 2)).verdict
@@ -322,14 +291,9 @@ def reeval_delta(g, bounds, report):
     return delta(g, bounds, report.witness_s, report.witness_t)
 
 
-def reeval_gf(g, funcs, report, which):
-    d, s = report.witness_s, report.witness_t
-    degs = degrees_excluding(g, d)
-    dsum = sum(degs[x] for x in s)
-    q_hat, q_star = classify_components(g, d, s, funcs)
-    if which == "single":
-        return sum(funcs.f[v] for v in d) - sum(funcs.g[v] for v in s) + dsum - q_hat
-    return sum(funcs.g[v] for v in d) - sum(funcs.f[v] for v in s) + dsum - q_star
+def reeval_gf(g, funcs, d, s):
+    dsum = sum(degrees_excluding(g, d)[x] for x in s)
+    return sum(funcs.g[v] for v in d) - sum(funcs.f[v] for v in s) + dsum - q_count(g, d, s, funcs)
 
 
 class TestWitnessSoundness:
@@ -349,10 +313,8 @@ class TestWitnessSoundness:
                 gfun = tuple(rng.randint(1, 2) for _ in range(n))
                 ffun = tuple(x + rng.randint(0, 1) for x in gfun)
                 funcs = DegreeFunctions(gfun, ffun)
-                rep = has_gf_factor(g, funcs)
-                assert reeval_gf(g, funcs, rep, "single") == rep.min_value
                 rep = has_all_gf_factors(g, funcs)
-                assert reeval_gf(g, funcs, rep, "all") == rep.min_value
+                assert reeval_gf(g, funcs, rep.witness_s, rep.witness_t) == rep.min_value
 
     def test_theta_witnesses(self):
         for n in range(1, 6):
@@ -384,10 +346,8 @@ class TestWitnessSoundness:
             for report, (threshold, best) in zip(
                 (
                     has_all_ab_factors(g, bounds),
-                    has_gf_factor(g, funcs),
                     has_all_gf_factors(g, funcs),
                     has_all_fractional_ab_factors(g, bounds),
-                    anstee_fractional_gf(g, funcs),
                     lu_all_fractional_gf(g, funcs),
                 ),
                 brute_force_minima(g, bounds, funcs),
@@ -399,9 +359,9 @@ class TestWitnessSoundness:
 
 
 def brute_force_minima(g, bounds, funcs):
-    """(threshold, least (value, S-tuple, T-tuple)) of the six functionals, in
-    the order ab, gf, all-gf, fractional ab, Anstee, Lu, from the public
-    primitives alone."""
+    """(threshold, least (value, S-tuple, T-tuple)) of the four functionals, in
+    the order ab, all-gf, fractional ab, Lu, from the public primitives and
+    the test's own component count."""
     n = g.n
     vertices = range(n)
     gf, af = funcs.g, funcs.f
@@ -412,27 +372,19 @@ def brute_force_minima(g, bounds, funcs):
                       tuple(v for v in vertices if labels[v] == 2))]
     ]
     subsets = [tuple(v for v in vertices if (mask >> v) & 1) for mask in range(1 << n)]
-    ab, single, every = [], [], []
-    for d, s in pairs:
-        ab.append((delta(g, bounds, d, s), d, s))
-        dsum = sum(degrees_excluding(g, d)[x] for x in s)
-        q_hat, q_star = classify_components(g, d, s, funcs)
-        single.append((sum(af[v] for v in d) - sum(gf[v] for v in s) + dsum - q_hat, d, s))
-        every.append((sum(gf[v] for v in d) - sum(af[v] for v in s) + dsum - q_star, d, s))
-    fractional, anstee, lu = [], [], []
+    ab = [(delta(g, bounds, d, s), d, s) for d, s in pairs]
+    every = [(reeval_gf(g, funcs, d, s), d, s) for d, s in pairs]
+    fractional, lu = [], []
     for s in subsets:
         value, tset = theta(g, bounds, s)
         fractional.append((value, s, tuple(sorted(tset))))
         degs = degrees_excluding(g, s)
-        for out, x, y in ((anstee, af, gf), (lu, gf, af)):
-            t = tuple(v for v in vertices if v in degs and degs[v] < y[v])
-            out.append((sum(x[v] for v in s) - sum(y[v] - degs[v] for v in t), s, t))
+        t = tuple(v for v in vertices if v in degs and degs[v] < af[v])
+        lu.append((sum(gf[v] for v in s) - sum(af[v] - degs[v] for v in t), s, t))
     return [
         (-1, min(ab)),
-        (0, min(single)),
         (0 if funcs.pointwise_equal else -1, min(every)),
         (0, min(fractional)),
-        (0, min(anstee)),
         (0, min(lu)),
     ]
 
@@ -448,6 +400,8 @@ class TestGoldenReports:
         + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
     )
     PETERSEN_FUNCS = DegreeFunctions((1, 1, 2, 2, 3, 3, 1, 2, 3, 1), (1, 2, 2, 3, 3, 3, 2, 2, 3, 2))
+    EQYW = parse_graph6("EQyw")
+    EQYW_FUNCS = DegreeFunctions((3, 3, 3, 3, 1, 2), (5, 5, 5, 5, 2, 2))
     CIRCULANT_12 = from_edge_list(12, [(i, (i + d) % 12) for i in range(12) for d in (1, 3)])
     STAR_12 = from_edge_list(13, [(0, i) for i in range(1, 13)])
     STAR_13 = from_edge_list(14, [(0, i) for i in range(1, 14)])
@@ -460,13 +414,12 @@ class TestGoldenReports:
              (False, -2, [], [0], 436)),
             (has_all_ab_factors, disjoint_union(complete(2), complete(2)), DegreeBounds(1, 2),
              (False, -4, [], [0, 1, 2], 16)),
-            (has_gf_factor, PETERSEN, PETERSEN_FUNCS, (False, -1, [0], [4, 5], 4927)),
-            (has_gf_factor, parse_graph6("EQyw"),
-             DegreeFunctions((3, 3, 3, 3, 1, 2), (5, 5, 5, 5, 2, 2)),
-             (False, -4, [4], [0, 1, 2, 3], 89)),
+            (has_all_gf_factors, EQYW, EQYW_FUNCS, (False, -13, [4], [0, 1, 2, 3], 9)),
+            (has_all_gf_factors, PETERSEN, DegreeFunctions.constant(10, 1, 1),
+             (True, 0, [], [], 9698)),  # g = f: threshold 0 and q by parity alone
             (has_all_gf_factors, PETERSEN, PETERSEN_FUNCS,
              (False, -3, [0, 2, 6], [1, 3, 4, 5], 6060)),
-            (anstee_fractional_gf, PETERSEN, PETERSEN_FUNCS, (False, -1, [0], [4, 5], 1024)),
+            (lu_all_fractional_gf, EQYW, EQYW_FUNCS, (False, -13, [4, 5], [0, 1, 2, 3], 64)),
             (lu_all_fractional_gf, PETERSEN, PETERSEN_FUNCS,
              (False, -3, [0, 2, 6, 9], [1, 3, 4, 5, 7, 8], 1024)),
             (has_all_fractional_ab_factors, CIRCULANT_12, DegreeBounds(2, 3),
@@ -490,7 +443,7 @@ class TestPairLoopOrder:
     the documented loop order in ``bruteforce.pair_loop_reference``."""
 
     def test_reports_match_reference(self):
-        # g = f takes the threshold-0 path and q_hat's parity path; the per-D
+        # g = f takes the threshold-0 path and q's parity path; the per-D
         # skip fires on almost every D of an edgeless graph and on few of a
         # complete graph's
         rng = random.Random(97)
@@ -510,11 +463,10 @@ class TestPairLoopOrder:
                 cases += [(g, DegreeFunctions.constant(n, a, b))
                           for a, b in ((1, 1), (1, 2), (2, 3))]
         for g, funcs in cases:
-            for decide, every in ((has_gf_factor, False), (has_all_gf_factors, True)):
-                report = decide(g, funcs)
-                assert (report.verdict, report.min_value, tuple(sorted(report.witness_s)),
-                        tuple(sorted(report.witness_t)), report.pairs_examined
-                        ) == pair_loop_reference(g, funcs, every)
+            report = has_all_gf_factors(g, funcs)
+            assert (report.verdict, report.min_value, tuple(sorted(report.witness_s)),
+                    tuple(sorted(report.witness_t)), report.pairs_examined
+                    ) == pair_loop_reference(g, funcs)
 
 
 class TestMonotonicity:
@@ -526,7 +478,7 @@ class TestMonotonicity:
             graphs = all_graphs(n)
             g = graphs[rng.randrange(len(graphs))]
             missing = [
-                (u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)
+                (u, v) for u in range(n) for v in range(u + 1, n) if not (g.rows[u] >> v) & 1
             ]
             if not missing:
                 continue
@@ -534,6 +486,21 @@ class TestMonotonicity:
             if not has_all_ab_factors(g, bounds).verdict:
                 continue
             u, v = missing[rng.randrange(len(missing))]
-            bigger = from_edge_list(n, list(g.edges()) + [(u, v)])
+            bigger = from_edge_list(n, list(edges(g)) + [(u, v)])
             assert has_all_ab_factors(bigger, bounds).verdict
             checked += 1
+
+
+class TestIntervalNesting:
+    def test_pass_on_an_interval_passes_on_its_subintervals(self):
+        # every demand of [1, 2] or [2, 3] is one of [1, 3], in both modes
+        cases = passes = 0
+        for n in range(1, 7):
+            for g in connected_graphs(n):
+                for decide in (has_all_ab_factors, has_all_fractional_ab_factors):
+                    cases += 1
+                    if decide(g, DegreeBounds(1, 3)).verdict:
+                        passes += 1
+                        assert decide(g, DegreeBounds(1, 2)).verdict, (to_graph6(g), decide)
+                        assert decide(g, DegreeBounds(2, 3)).verdict, (to_graph6(g), decide)
+        assert (cases, passes) == (286, 3)

@@ -9,24 +9,22 @@ from factorspec import (
     build_g1,
     build_g2,
     build_hnb,
-    build_k1_join_cliques,
-    complete,
-    disjoint_union,
+    from_edge_list,
     g12_min_order,
     has_all_ab_factors,
     has_all_fractional_ab_factors,
     hnb_witness,
     is_connected,
     is_hnb,
-    join,
     rho_hnb,
-    rho_k1_join_cliques,
     spectral_radius,
     threshold_n,
 )
 from factorspec.extremal import _clique_join_layout, g1_join_size, layout_charpoly
 from factorspec.graph import component_masks
+from factorspec.spectral import largest_root
 from bruteforce import charpoly_3x3, counted_quotient
+from catalogs import complete, disjoint_union, edges, join, k1_join_cliques
 
 
 class TestBuildHnb:
@@ -111,8 +109,6 @@ class TestRhoHnb:
     def test_complete_minus_edge_identity(self):
         n = 9
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) != (0, 1)]
-        from factorspec import from_edge_list
-
         k9_minus = from_edge_list(n, edges)
         assert abs(rho_hnb(n, n - 1) - spectral_radius(k9_minus).rho) < 1e-8
 
@@ -138,10 +134,8 @@ class TestIsHnb:
         assert not is_hnb(build_hnb(6, 3), 4)
         g = build_hnb(7, 3)
         # removing one more edge breaks the complete remainder
-        from factorspec import from_edge_list
-
-        edges = [e for e in g.edges() if e != (5, 6)]
-        assert not is_hnb(from_edge_list(7, edges), 3)
+        kept = [e for e in edges(g) if e != (5, 6)]
+        assert not is_hnb(from_edge_list(7, kept), 3)
 
 
 class TestG1G2:
@@ -191,20 +185,11 @@ class TestLayoutCharpoly:
 
 
 class TestK1JoinCliques:
-    def test_structure(self):
-        g = build_k1_join_cliques(10, 4)
-        # clique block, hub, clique block
-        assert g.degree(4) == 9
-        assert sorted(g.degree(v) for v in range(10)) == [4] * 4 + [5] * 5 + [9]
-
     def test_rho_matches_dense(self):
+        # the layout [K_r | hub | K_s] has the hub in the join block
         for n, r in [(10, 2), (10, 5), (12, 4)]:
-            dense = spectral_radius(build_k1_join_cliques(n, r)).rho
-            assert abs(rho_k1_join_cliques(n, r) - dense) < 1e-8
-
-    def test_bounds(self):
-        with pytest.raises(ValueError):
-            build_k1_join_cliques(5, 4)
+            dense = spectral_radius(k1_join_cliques(n, r)).rho
+            assert abs(largest_root(layout_charpoly(r, 1, n - 1 - r), n - 1) - dense) < 1e-8
 
 
 class TestThresholds:

@@ -11,7 +11,6 @@ from factorspec import (
     DegreeBounds,
     Graph6Error,
     build_hnb,
-    complete,
     parse_graph6,
     spectral_radius,
 )
@@ -30,7 +29,7 @@ from factorspec.harness import (
     verify_k1_join_bound,
     verify_quotient_transfer,
 )
-from catalogs import connected_graphs
+from catalogs import complete, connected_graphs, disjoint_union
 
 
 class TestStreamGraph6:
@@ -184,8 +183,6 @@ class TestEquivalenceSuite:
         assert report.passed
 
     def test_disconnected_and_oversized_filtered(self):
-        from factorspec import disjoint_union
-
         graphs = [disjoint_union(complete(2), complete(2)), complete(9), complete(3)]
         report = equivalence_suite(graphs, [(1, 2)], "integer", nmax=7)
         assert report.cases_run == 1

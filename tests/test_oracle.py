@@ -19,9 +19,6 @@ from factorspec import (
     DegreeFunctions,
     all_ab_factors_oracle,
     all_fractional_oracle,
-    anstee_fractional_gf,
-    complete,
-    disjoint_union,
     enumerate_admissible,
     from_edge_list,
     has_h_factor,
@@ -31,19 +28,19 @@ from factorspec import oracle
 from factorspec.oracle import perfect_matching, tutte_gadget
 from factorspec.extremal import build_hnb
 from bruteforce import has_fractional_factor, perfect_matching_bruteforce
-from catalogs import all_graphs, connected_graphs
+from catalogs import all_graphs, complete, connected_graphs, disjoint_union, edges
 
 
 def spanning_degree_sequences(g):
     """All realizable spanning-subgraph degree sequences, via gray-code sweep."""
-    edges = list(g.edges())
+    edge_list = list(edges(g))
     degs = [0] * g.n
     out = {tuple(degs)}
     prev = 0
-    for i in range(1, 1 << len(edges)):
+    for i in range(1, 1 << len(edge_list)):
         gray = i ^ (i >> 1)
         bit = (gray ^ prev).bit_length() - 1
-        u, v = edges[bit]
+        u, v = edge_list[bit]
         step = 1 if (gray >> bit) & 1 else -1
         degs[u] += step
         degs[v] += step
@@ -87,7 +84,7 @@ class TestTutteGadget:
         assert gadget.n == 8
         assert sum(1 for lab in labels if lab[0] == "int") == 0
         ok, factor = has_h_factor(c4, (2, 2, 2, 2))
-        assert ok and factor == frozenset(c4.edges())
+        assert ok and factor == frozenset(edges(c4))
 
     def test_node_count_formula(self):
         rng = random.Random(61)
@@ -130,7 +127,7 @@ class TestTutteGadget:
             adj, _ = oracle._gadget(g, h)
             assert all(len(set(nbrs)) == len(nbrs) for nbrs in adj)
             listed = {(min(i, j), max(i, j)) for i, nbrs in enumerate(adj) for j in nbrs}
-            assert set(gadget.edges()) == listed
+            assert set(edges(gadget)) == listed
             checked += 1
 
 
@@ -162,7 +159,7 @@ class TestPerfectMatching:
                 continue
             seen = set()
             for u, v in matching:
-                assert g.has_edge(u, v)
+                assert (g.rows[u] >> v) & 1
                 assert u not in seen and v not in seen
                 seen.update((u, v))
             assert len(seen) == g.n
@@ -194,7 +191,7 @@ class TestHasHFactor:
     def test_complete_graph_demands(self):
         assert has_h_factor(complete(4), (1, 1, 1, 1))[0]
         ok, factor = has_h_factor(complete(4), (3, 3, 3, 3))
-        assert ok and factor == frozenset(complete(4).edges())
+        assert ok and factor == frozenset(edges(complete(4)))
         assert has_h_factor(complete(4), (1, 1, 2, 2))[0]
 
     def test_demand_above_degree(self):
@@ -212,7 +209,7 @@ class TestHasHFactor:
                 continue
             degs = [0] * n
             for u, v in factor:
-                assert g.has_edge(u, v)
+                assert (g.rows[u] >> v) & 1
                 degs[u] += 1
                 degs[v] += 1
             assert tuple(degs) == h
@@ -269,11 +266,13 @@ class TestAllFractionalOracle:
         assert not all_fractional_oracle(build_hnb(7, 2), DegreeBounds(1, 2))
 
     def test_matches_literal_per_demand_loop(self):
+        # Anstee's fractional p-factor condition at every demand p, which is
+        # Lu's condition at g = f = p
         for n in range(1, 5):
             for g in all_graphs(n):
                 for a, b in [(1, 2), (2, 3)]:
                     literal = all(
-                        anstee_fractional_gf(g, DegreeFunctions(p, p)).verdict
+                        lu_all_fractional_gf(g, DegreeFunctions(p, p)).verdict
                         for p in itertools.product(range(a, b + 1), repeat=n)
                     )
                     assert all_fractional_oracle(g, DegreeBounds(a, b)) == literal

@@ -7,17 +7,15 @@ bracket checks the small components independently of it.
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from factorspec import (
     ConvergenceError,
-    complete,
-    disjoint_union,
     from_edge_list,
     hong_bound,
-    join,
     spectral_radius,
 )
 from factorspec import spectral
@@ -29,15 +27,16 @@ from factorspec.extremal import (
     g1_join_size,
     layout_charpoly,
 )
+from factorspec.graph import iter_bits
 from factorspec.spectral import _poly_eval, _roots_at_least, largest_root
 from bruteforce import charpoly_3x3, counted_quotient
-from catalogs import connected_graphs
+from catalogs import complete, connected_graphs, disjoint_union, edges, join
 
 
 def eigvalsh_rho(g) -> float:
     """Independent dense-eigensolver spectral radius."""
     a = np.zeros((g.n, g.n))
-    for u, v in g.edges():
+    for u, v in edges(g):
         a[u, v] = a[v, u] = 1.0
     return float(np.linalg.eigvalsh(a)[-1]) if g.n else 0.0
 
@@ -48,7 +47,7 @@ def collatz_wielandt_bracket(g, width=1e-12, cap=100_000):
     Shifted power steps x <- (A + I) x from the all-ones vector keep x
     positive; for any positive x, min (Ax)_i / x_i <= rho <= max (Ax)_i / x_i.
     """
-    nbrs = [list(g.neighbors(v)) for v in range(g.n)]
+    nbrs = [list(iter_bits(g.rows[v])) for v in range(g.n)]
     x = [1.0] * g.n
     lo, hi = 0.0, float("inf")
     for _ in range(cap):
@@ -139,11 +138,11 @@ class TestSpectralRadius:
 
             if not is_connected(g):
                 continue
-            missing = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
+            missing = [(u, v) for u, v in combinations(range(n), 2) if not (g.rows[u] >> v) & 1]
             if not missing:
                 continue
             u, v = missing[rng.randrange(len(missing))]
-            bigger = from_edge_list(n, list(g.edges()) + [(u, v)])
+            bigger = from_edge_list(n, list(edges(g)) + [(u, v)])
             assert spectral_radius(bigger).rho > spectral_radius(g).rho + 1e-10
             checked += 1
 
@@ -183,7 +182,7 @@ class TestSpectralRadius:
         a = np.zeros((n, n))
         for i, v in enumerate(verts):
             for j, u in enumerate(verts):
-                a[i, j] = float(g.has_edge(v, u))
+                a[i, j] = float((g.rows[v] >> u) & 1)
         rho = spectral._power_iteration(a, 1e-10, 100 * n + 1000)[0]
         assert spectral_radius(g).rho == rho
 
@@ -303,7 +302,7 @@ class TestLeadingEigenvalue:
         # matching pairs: det(xI - B) = (x - 6)(x + 2)^3 = x^4 - 24x^2 - 64x - 48
         g = complete(8)
         pairs = [(0, 1), (2, 3), (4, 5), (6, 7)]
-        g = from_edge_list(8, [e for e in g.edges() if e not in pairs])
+        g = from_edge_list(8, [e for e in edges(g) if e not in pairs])
         assert counted_quotient(g, (2, 2, 2, 2)) == [[0, 2, 2, 2], [2, 0, 2, 2], [2, 2, 0, 2], [2, 2, 2, 0]]
         lam = largest_root((1, 0, -24, -64, -48), 7)
         assert abs(lam - 6.0) < 1e-12
