@@ -18,23 +18,29 @@ g(D) - |V - D| + sum_{x in S} (d_{G-D}(x) - f(x) + 1), tabulated once per D.
 A pair is skipped when its bound exceeds the least value so far, and a D when
 its least bound does, so ``pairs_examined`` depends on this order; pairs at
 that value are still evaluated, so the minimum and the witness do not.  The
-subset loop takes all 2^n subsets in numeric order.  Ties go to the least
-(sorted first set, sorted second set) pair of tuples.  Enumeration is exact:
-graphs above PAIR_ENUM_CAP (pair loop) or SUBSET_ENUM_CAP (subset loop)
-vertices raise ``CapExceededError`` rather than being sampled, and no caller
-can lift these limits.
+subset loop evaluates all 2^n subsets in blocks of 2^k (k = min(n, 12)) that
+share their bits above the k lowest vertices: one int64 table per call holds
+the degree deficits d_{G-S}(v) - f(v) of every low part S, and each block adds
+its high part's to it in one numpy pass.  Ties go to the least (sorted first
+set, sorted second set) pair of tuples, within a block and across blocks.
+Enumeration is exact: graphs above PAIR_ENUM_CAP (pair loop) or
+SUBSET_ENUM_CAP (subset loop) vertices raise ``CapExceededError`` rather than
+being sampled, and no caller can lift these limits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .graph import Graph, component_masks, iter_bits, mask_of, set_of
 
 PAIR_ENUM_CAP = 16
 SUBSET_ENUM_CAP = 22
+_BLOCK_BITS = 12  # a block's n x 2^12 int64 table is 720 KB at n = SUBSET_ENUM_CAP
 
 
 class CapExceededError(RuntimeError):
@@ -135,6 +141,42 @@ def _subset_value(terms: list[tuple], smask: int) -> tuple[int, int]:
     return value, tmask
 
 
+def _subset_sums(columns: np.ndarray) -> np.ndarray:
+    """The m x 2^k matrix whose column i is the sum of the columns u of
+    ``columns`` (m x k) with bit u set in i, built by doubling: bit u adds
+    column u to the first 2^u columns to give the next 2^u."""
+    m, k = columns.shape
+    sums = np.zeros((m, 1 << k), dtype=np.int64)
+    for u in range(k):
+        np.add(sums[:, :1 << u], columns[:, u, None], out=sums[:, 1 << u:2 << u])
+    return sums
+
+
+def _subset_blocks(
+    rows: tuple[int, ...], x: Sequence[int], y: Sequence[int]
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The subset functional at every S, one block at a time: (high, values)
+    with values[i] its value at S = high | i, for the 2^(n - k) masks ``high``
+    of the vertices above the k = min(n, _BLOCK_BITS) lowest.  Needs every
+    x(v), y(v) <= d(v) + 1, so that int64 is exact and ``lift`` exceeds
+    every |d_{G-S}(v) - y(v)|."""
+    n = len(rows)
+    k = min(n, _BLOCK_BITS)
+    lift = 2 * n + 2  # added at each v in S, where the minimum below must give 0
+    adj = (np.array(rows, dtype=np.int64)[:, None] >> np.arange(n, dtype=np.int64)) & 1
+    # column u: what u joining S adds to d_{G-S}(v) - y(v), lifted at v = u
+    # (rows v < n), and to x(S) (row n)
+    weights = np.vstack((lift * np.eye(n, dtype=np.int64) - adj, np.array(x, dtype=np.int64)))
+    low = _subset_sums(weights[:, :k])
+    low[:n] += np.array([row.bit_count() - yv for row, yv in zip(rows, y)], dtype=np.int64)[:, None]
+    high = _subset_sums(weights[:, k:])
+    block = np.empty((n, 1 << k), dtype=np.int64)
+    for j in range(1 << (n - k)):
+        np.add(low[:n], high[:n, j, None], out=block)
+        np.minimum(block, 0, out=block)
+        yield j << k, block.sum(axis=0) + (low[n] + high[n, j])
+
+
 def delta(g: Graph, bounds: DegreeBounds, s: Iterable[int], t: Iterable[int]) -> int:
     """Deficiency a|S| - b|T| + sum_{x in T} d_{G-S}(x) - q(S, T), where
     q(S, T) is the number of components of G - (S u T)."""
@@ -178,6 +220,19 @@ def _least(best: tuple[int, int, int], value: int, smask: int, tmask: int) -> tu
     ):
         return value, smask, tmask
     return best
+
+
+def _least_mask(masks: np.ndarray) -> int:
+    """The mask among ``masks`` (distinct, non-negative) whose sorted tuple of
+    bits is least, as ``_least`` orders them: the least first element wins,
+    so keep the masks that hold the lowest bit of any and strip it, until one
+    is left or one is used up, a prefix of the rest."""
+    prefix = 0
+    while len(masks) > 1 and masks.min() > 0:
+        lowest = (masks & -masks).min()
+        masks = masks[(masks & lowest) != 0] ^ lowest
+        prefix |= int(lowest)
+    return prefix | int(masks.min())
 
 
 def _report(best: tuple[int, int, int], threshold: int, examined: int) -> ConditionReport:
@@ -237,15 +292,29 @@ def has_all_ab_factors(g: Graph, bounds: DegreeBounds) -> ConditionReport:
 
 def lu_all_fractional_gf(g: Graph, funcs: DegreeFunctions) -> ConditionReport:
     """All fractional (g, f)-factors: g(S) - f(T) + sum_{x in T} d_{G-S}(x) >= 0
-    for every S, with T = {v not in S : d_{G-S}(v) < f(v)}."""
+    for every S, with T = {v not in S : d_{G-S}(v) < f(v)}.
+
+    The blocks take f(v) capped at d(v) + 1.  A v outside S with a larger
+    f(v) is in T either way, so the cap raises the value of S by the excess
+    unless v is in S; adding the excess to g(v), and subtracting the total at
+    the end, keeps every value.  A g(v) then above d(v) is capped at d(v) + 1
+    too: S - v beats any S that holds such a v, so the minimizers and the
+    minimum stay.  Every value the blocks see is then at most n(n + 1) in
+    size, so their int64 arithmetic is exact however large g and f are.
+    """
     _guard(g, funcs, SUBSET_ENUM_CAP, "2^n")
+    cap = [row.bit_count() + 1 for row in g.rows]
+    y = [min(fv, c) for fv, c in zip(funcs.f, cap)]
+    x = [min(gv + fv - yv, c) for gv, fv, yv, c in zip(funcs.g, funcs.f, y, cap)]
     terms = _subset_terms(g, funcs.g, funcs.f)
-    best = (sum(funcs.g) + 1, 0, 0)  # a value above every value of the functional
-    for smask in range(1 << g.n):
-        value, tmask = _subset_value(terms, smask)
-        if value <= best[0]:
-            best = _least(best, value, smask, tmask)
-    return _report(best, 0, 1 << g.n)
+    best = (sum(x) + 1, 0, 0)  # a value above every value of the capped functional
+    for high, values in _subset_blocks(g.rows, x, y):
+        least = int(values.min())
+        if least <= best[0]:
+            smask = _least_mask(np.flatnonzero(values == least) | high)
+            best = _least(best, least, smask, _subset_value(terms, smask)[1])
+    value, smask, tmask = best
+    return _report((value - sum(funcs.f) + sum(y), smask, tmask), 0, 1 << g.n)
 
 
 def has_all_fractional_ab_factors(g: Graph, bounds: DegreeBounds) -> ConditionReport:

@@ -5,9 +5,10 @@ fractional p-factors on the bipartite double cover, the test oracle for
 re-evaluate the deficiency functionals; the component count q of the
 all-(g, f)-factors functional, by breadth-first search over Python sets; the
 pair loop of the integer decider in its documented order, the test oracle for
-its ``pairs_examined``; and the quotient of a built graph over consecutive
-vertex blocks, counted vertex by vertex, with its characteristic polynomial,
-the test oracle for ``extremal.layout_charpoly``."""
+its ``pairs_examined``; the subset loop of the fractional decider, one subset
+at a time, the test oracle for its blocks; and the quotient of a built graph
+over consecutive vertex blocks, counted vertex by vertex, with its
+characteristic polynomial, the test oracle for ``extremal.layout_charpoly``."""
 
 from __future__ import annotations
 
@@ -164,6 +165,27 @@ def pair_loop_reference(
                     best = candidate
     threshold = 0 if funcs.pointwise_equal else -1
     return (best[0] >= threshold,) + best + (examined,)
+
+
+def subset_loop_reference(
+    g: Graph, funcs: DegreeFunctions
+) -> tuple[bool, int, tuple[int, ...], tuple[int, ...], int]:
+    """(verdict, minimum, S, T, subsets examined) of ``lu_all_fractional_gf``,
+    by one subset at a time: every S in numeric order of its mask, with
+    T = {v not in S : d_{G-S}(v) < f(v)}; a subset whose value is <= the
+    least so far replaces it when the value is lower, or when its (S, T) pair
+    of sorted tuples is less."""
+    n = g.n
+    best = None
+    for smask in range(1 << n):
+        s = tuple(v for v in range(n) if (smask >> v) & 1)
+        degrees = degrees_excluding(g, s)
+        t = tuple(v for v in sorted(degrees) if degrees[v] < funcs.f[v])
+        value = sum(funcs.g[v] for v in s) - sum(funcs.f[v] - degrees[v] for v in t)
+        candidate = (value, s, t)
+        if best is None or candidate < best:
+            best = candidate
+    return (best[0] >= 0,) + best + (1 << n,)
 
 
 def counted_quotient(g: Graph, sizes: Sequence[int]) -> list[list[int]]:

@@ -7,6 +7,7 @@ through the public primitives.
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -27,12 +28,32 @@ from factorspec import (
 )
 from factorspec import conditions
 from factorspec.extremal import build_hnb
-from bruteforce import degrees_excluding, has_fractional_factor, pair_loop_reference, q_count
+from bruteforce import (degrees_excluding, has_fractional_factor, pair_loop_reference, q_count,
+                        subset_loop_reference)
 from catalogs import all_graphs, complete, connected_graphs, disjoint_union, edges
 
 
 def k(n):
     return complete(n)
+
+
+def random_graph(rng, n, p=0.5):
+    """G(n, p) drawn from ``rng``, one coin per vertex pair in lexicographic order."""
+    return from_edge_list(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                              if rng.random() < p])
+
+
+def gnp_14_case():
+    """A seeded G(14, 1/2) under a seeded mixed (g, f)."""
+    rng = random.Random(38)
+    g = random_graph(rng, 14)
+    gfun = tuple(rng.randint(2, 5) for _ in range(14))
+    return g, DegreeFunctions(gfun, tuple(gv + rng.choice((0, 1, 2)) for gv in gfun))
+
+
+def report_tuple(report):
+    return (report.verdict, report.min_value, tuple(sorted(report.witness_s)),
+            tuple(sorted(report.witness_t)), report.pairs_examined)
 
 
 class TestTypes:
@@ -406,6 +427,7 @@ class TestGoldenReports:
     STAR_12 = from_edge_list(13, [(0, i) for i in range(1, 13)])
     STAR_13 = from_edge_list(14, [(0, i) for i in range(1, 14)])
     EDGELESS_16 = from_edge_list(16, [])  # at PAIR_ENUM_CAP; every D but the empty one skipped
+    GNP_14, GNP_14_FUNCS = gnp_14_case()  # its witness S holds 12 and 13, above the first block
 
     @pytest.mark.parametrize(
         "decide, graph, arg, expected",
@@ -430,6 +452,10 @@ class TestGoldenReports:
              (False, -25, [0], list(range(1, 14)), 8194)),
             (has_all_ab_factors, EDGELESS_16, DegreeBounds(1, 2),
              (False, -32, [], list(range(16)), 1)),
+            (has_all_fractional_ab_factors, build_hnb(16, 4), DegreeBounds(1, 4),
+             (False, -1, [], [0], 65536)),
+            (lu_all_fractional_gf, GNP_14, GNP_14_FUNCS,
+             (False, -9, [0, 3, 4, 9, 12, 13], [1, 2, 5, 6, 7, 8, 10, 11], 16384)),
         ],
     )
     def test_report(self, decide, graph, arg, expected):
@@ -467,6 +493,57 @@ class TestPairLoopOrder:
             assert (report.verdict, report.min_value, tuple(sorted(report.witness_s)),
                     tuple(sorted(report.witness_t)), report.pairs_examined
                     ) == pair_loop_reference(g, funcs)
+
+
+class TestSubsetLoopOrder:
+    """Full reports of the fractional deciders, pairs_examined included,
+    against one subset at a time in ``bruteforce.subset_loop_reference``."""
+
+    def test_reports_match_reference(self):
+        # every n > 12 spans several blocks; g = f, huge prescriptions (capped
+        # at d(v) + 1 inside the decider) and the many ties of the edgeless,
+        # complete, star and cocktail-party graphs test the least-witness rule
+        # (K_13 at [1, 12] is least at every S of 6 vertices, in both blocks)
+        rng = random.Random(29)
+        cases = []
+        for n in range(1, 15):
+            g = random_graph(rng, n, rng.choice((0.2, 0.5, 0.8)))
+            gfun = tuple(rng.randint(1, 4) for _ in range(n))
+            ffun = tuple(gv + rng.choice((0, 0, 1, 2)) for gv in gfun)
+            cases += [(g, DegreeFunctions(gfun, ffun)), (g, DegreeFunctions(gfun, gfun))]
+        for n in (5, 13):
+            g = random_graph(rng, n)
+            gfun = tuple(rng.choice((1, 2, 10**19)) for _ in range(n))
+            ffun = tuple(gv + rng.choice((0, 1, 10**20)) for gv in gfun)
+            cases.append((g, DegreeFunctions(gfun, ffun)))
+        star = from_edge_list(13, [(0, i) for i in range(1, 13)])
+        for g in (from_edge_list(13, []), complete(13), star):
+            cases += [(g, DegreeFunctions.constant(13, a, b))
+                      for a, b in ((1, 2), (2, 3), (3, 3), (1, 12))]
+        # its least witness lies in the second block, which ties the first
+        cases.append((random_graph(random.Random(9), 13, 0.2), DegreeFunctions.constant(13, 1, 2)))
+        for m in (2, 3, 5, 7):
+            pairs = itertools.combinations(range(2 * m), 2)
+            cocktail = from_edge_list(2 * m, [(u, v) for u, v in pairs if v != u + m])
+            cases += [(cocktail, DegreeFunctions.constant(2 * m, a, b))
+                      for a, b in ((1, 2), (m, m + 1), (2 * m - 2, 2 * m - 2))]
+        for g, funcs in cases:
+            assert report_tuple(lu_all_fractional_gf(g, funcs)) == subset_loop_reference(g, funcs)
+
+
+class TestSubsetMemory:
+    def test_report_and_peak_at_the_cap(self):
+        # memory stays within one block: an int64 array of all 2^22 subsets
+        # by 22 vertices would be 740 MB
+        g = random_graph(random.Random(22), conditions.SUBSET_ENUM_CAP)
+        tracemalloc.start()
+        try:
+            report = has_all_fractional_ab_factors(g, DegreeBounds(1, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report_tuple(report) == (True, 0, (), (), 1 << 22)
+        assert peak < 16 * 2**20
 
 
 class TestMonotonicity:

@@ -1,4 +1,5 @@
-"""Every name the package exports has a caller.
+"""Every name the package exports has a caller, and the deciders share no
+code with the oracle.
 
 A name that ``factorspec/__init__.py`` imports must be used in ``src/`` beyond
 its own definition, or be imported or wrapped by ``bench/``.  The one
@@ -44,3 +45,14 @@ def test_every_export_has_a_caller():
     bench |= {name for _, _, name, _, _ in load_spans().WRAPPED}
     uncalled = {name for module, name in exported() - used_in_src() if name not in bench}
     assert sorted(uncalled - AWAITING_A_CALLER) == []
+
+
+def test_deciders_import_nothing_from_the_oracle():
+    # the decider-versus-oracle cross-check is independent only while the two
+    # share no code; the fractional oracle has a blocked matmul of its own
+    tree = ast.parse((SRC / "conditions.py").read_text())
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names}
+    names |= {f"{node.module or ''}.{alias.name}" for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert [name for name in names if "oracle" in name.split(".")] == []
