@@ -8,7 +8,9 @@ pair loop of the integer decider in its documented order, the test oracle for
 its ``pairs_examined``; the subset loop of the fractional decider, one subset
 at a time, the test oracle for its blocks; and the quotient of a built graph
 over consecutive vertex blocks, counted vertex by vertex, with its
-characteristic polynomial, the test oracle for ``extremal.layout_charpoly``."""
+characteristic polynomial, the test oracle for ``extremal.layout_charpoly``;
+and the mirror of a lower triangle, one vertex pair at a time, the test
+oracle for both routes of ``graph._mirror``."""
 
 from __future__ import annotations
 
@@ -186,6 +188,17 @@ def subset_loop_reference(
         if best is None or candidate < best:
             best = candidate
     return (best[0] >= 0,) + best + (1 << n,)
+
+
+def mirror_reference(lower: Sequence[int]) -> tuple[int, ...]:
+    """Rows of the graph whose pair u < v is an edge iff bit u of lower[v] is set."""
+    n = len(lower)
+    rows = [0] * n
+    for u, v in combinations(range(n), 2):
+        if (lower[v] >> u) & 1:
+            rows[u] += 1 << v
+            rows[v] += 1 << u
+    return tuple(rows)
 
 
 def counted_quotient(g: Graph, sizes: Sequence[int]) -> list[list[int]]:

@@ -421,13 +421,41 @@ class TestDenseOrderGuard:
         assert code == 2 and out == ""
         assert err == "error: construction has order 9, above the dense limit 8\n"
 
-    def test_dense_rho(self, capsys, monkeypatch):
+    def test_dense_rho(self, monkeypatch):
+        # every command decodes graph6 under its own guard first (below), so
+        # this guard is reached through the library
         def no_matrix(g):
             raise AssertionError("adjacency matrix built above the limit")
 
         monkeypatch.setattr(spectral, "_adjacency_bits", no_matrix)
-        code, out, err = run(capsys, "rho", "--g6", to_graph6(complete(9)).decode())
-        assert code == 2 and out == "" and "graph has order 9" in err
+        with pytest.raises(ValueError, match="^graph has order 9, above the dense limit 8$"):
+            spectral.spectral_radius(complete(9))
+
+    def test_graph6_record(self, capsys, monkeypatch, tmp_path):
+        mirror = graph._mirror
+
+        def small_mirror(lower):
+            assert len(lower) <= 8, "graph6 body decoded above the limit"
+            return mirror(lower)
+
+        big = to_graph6(complete(9)).decode()
+        monkeypatch.setattr(graph, "_mirror", small_mirror)
+        code, out, err = run(capsys, "rho", "--g6", big)
+        assert (code, out) == (2, "")
+        assert err == "error: graph6 record has order 9, above the dense limit 8\n"
+        # refused before the body is read: a truncated body is not what is named
+        code, _, err = run(capsys, "rho", "--g6", big[:2])
+        assert code == 2 and "graph6 record has order 9" in err
+        path = tmp_path / "big.g6"
+        path.write_text(f"@\n{big}\n")
+        argv = ["verify", "hong", "--input", str(path), "--json"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: line 2: graph6 record has order 9, above the dense limit 8\n"
+        code, out, err = run(capsys, *argv, "--lenient")
+        assert json.loads(out)["cases_run"] == 1
+        assert err == ("warning: skipped 1 malformed line(s); first: line 2: "
+                       "graph6 record has order 9, above the dense limit 8\n")
 
     def test_closed_form_rho_is_not_guarded(self, capsys):
         code, out, _ = run(capsys, "rho", "--hnb", "100000,7")

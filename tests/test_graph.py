@@ -2,6 +2,7 @@
 
 import random
 import re
+import tracemalloc
 from itertools import combinations
 
 import networkx as nx
@@ -17,15 +18,30 @@ from factorspec import (
     parse_graph6,
     to_graph6,
 )
+from factorspec import graph
 from factorspec.extremal import build_hnb
-from factorspec.graph import component_masks, mask_of, set_of
-from bruteforce import degrees_excluding
+from factorspec.graph import MIRROR_MATRIX_ORDER, component_masks, mask_of, set_of
+from bruteforce import degrees_excluding, mirror_reference
 from catalogs import complete, disjoint_union, edges, join
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return from_edge_list(n, edges)
+
+
+def assert_asymmetry_named(rng: random.Random, n: int, rows) -> None:
+    """Flip one side of one to three vertex pairs of ``rows``: the ``Graph``
+    check must name a pair whose two sides differ."""
+    rows = list(rows)
+    pairs = list(combinations(range(n), 2))
+    for pair in rng.sample(pairs, rng.randint(1, min(3, len(pairs)))):
+        u, v = rng.sample(pair, 2)
+        rows[u] ^= 1 << v
+    with pytest.raises(ValueError, match="adjacency not symmetric") as info:
+        Graph(n, tuple(rows))
+    u, v = map(int, re.search(r"\((\d+), (\d+)\)", str(info.value)).groups())
+    assert (rows[u] >> v) & 1 != (rows[v] >> u) & 1
 
 
 class TestConstruction:
@@ -59,15 +75,7 @@ class TestConstruction:
         rng = random.Random(3)
         for _ in range(200):
             n = rng.randint(2, 9)
-            rows = list(random_graph(rng, n, rng.random()).rows)
-            pairs = list(combinations(range(n), 2))
-            for pair in rng.sample(pairs, rng.randint(1, min(3, len(pairs)))):
-                u, v = rng.sample(pair, 2)  # flip one side of the pair
-                rows[u] ^= 1 << v
-            with pytest.raises(ValueError, match="adjacency not symmetric") as info:
-                Graph(n, tuple(rows))
-            u, v = map(int, re.search(r"\((\d+), (\d+)\)", str(info.value)).groups())
-            assert (rows[u] >> v) & 1 != (rows[v] >> u) & 1
+            assert_asymmetry_named(rng, n, random_graph(rng, n, rng.random()).rows)
 
     def test_out_of_range_row_rejected(self):
         with pytest.raises(ValueError, match=r"^row 0 references vertices outside 0\.\.2$"):
@@ -78,6 +86,28 @@ class TestConstruction:
     def test_loop_row_rejected(self):
         with pytest.raises(ValueError, match=r"^loop at vertex 1$"):
             Graph(3, (0b010, 0b011, 0))
+
+    @pytest.mark.parametrize("n", [MIRROR_MATRIX_ORDER + 6, 2 * MIRROR_MATRIX_ORDER + 2])
+    def test_messages_above_the_mirror_order(self, n):
+        """The three messages again, at orders that the bit-matrix mirror serves."""
+        rng = random.Random(n)
+        rows = list(random_graph(rng, n, 0.5).rows)
+        assert Graph(n, tuple(rows)).rows == tuple(rows)
+        for _ in range(20):
+            assert_asymmetry_named(rng, n, rows)
+        edgeless = [0] * n
+        for v, bit, message in [(3, 1, r"adjacency not symmetric at \(3, 1\)"),
+                                (n - 2, n - 1, rf"adjacency not symmetric at \({n - 2}, {n - 1}\)"),
+                                (n - 1, n, rf"row {n - 1} references vertices outside 0\.\.{n - 1}"),
+                                (n // 2, n // 2, rf"loop at vertex {n // 2}")]:
+            bad = list(edgeless)
+            bad[v] |= 1 << bit
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                Graph(n, tuple(bad))
+        full = (1 << n) - 1
+        negative = [full ^ (1 << v) for v in range(n - 1)] + [-1]
+        with pytest.raises(ValueError, match=rf"^row {n - 1} references vertices outside "):
+            Graph(n, tuple(negative))
 
     def test_rows_as_list_accepted(self):
         assert Graph(2, [0b10, 0b01]).edge_count() == 1
@@ -207,7 +237,8 @@ class TestGraph6AgainstNetworkx:
         """Seeded random graphs and hnb(600, 5), each with networkx's record."""
         rng = random.Random(14)
         graphs = [random_graph(rng, n, p)
-                  for n in (1, 2, 3, 62, 63, 64, 200) for p in (0.0, 0.1, 0.5, 0.9, 1.0)]
+                  for n in (1, 2, 3, 62, 63, 64, 65, 128, 200)
+                  for p in (0.0, 0.1, 0.5, 0.9, 1.0)]
         out = []
         for g in graphs + [build_hnb(600, 5)]:
             h = nx.Graph()
@@ -226,6 +257,53 @@ class TestGraph6AgainstNetworkx:
             assert back.rows == g.rows
             h = nx.from_graph6_bytes(record)
             assert list(edges(back)) == sorted(tuple(sorted(e)) for e in h.edges())
+
+
+class TestMirrorRoutes:
+    """Both routes of the mirror against the plain reference, around the order
+    that switches between them, and the switch itself in both callers."""
+
+    @pytest.mark.parametrize("n", [MIRROR_MATRIX_ORDER - 1, MIRROR_MATRIX_ORDER,
+                                   MIRROR_MATRIX_ORDER + 1, 200])
+    @pytest.mark.parametrize("p", [0.0, 0.05, 0.5, 1.0])
+    def test_routes_match_reference(self, n, p):
+        rng = random.Random(1000 * n + int(100 * p))
+        lower = [sum(1 << u for u in range(v) if rng.random() < p) for v in range(n)]
+        expected = mirror_reference(lower)
+        assert graph._mirror_loop(lower) == expected
+        assert graph._mirror_matrix(lower) == expected
+        assert graph._mirror(lower) == expected
+
+    def test_route_by_order(self, monkeypatch):
+        routes = []
+        for name in ("_mirror_loop", "_mirror_matrix"):
+            route = getattr(graph, name)
+            monkeypatch.setattr(graph, name,
+                                lambda lower, name=name, route=route: routes.append(name) or route(lower))
+        for n in (MIRROR_MATRIX_ORDER, MIRROR_MATRIX_ORDER + 1):
+            g = from_edge_list(n, [(0, n - 1), (1, 2)])
+            parse_graph6(to_graph6(g))
+        assert routes == ["_mirror_loop"] * 2 + ["_mirror_matrix"] * 2
+
+
+class TestDecodeMemory:
+    def test_dense_record_at_the_limit(self):
+        """The complete graph at MAX_DENSE_ORDER.  Decode holds the bits
+        string (one byte per pair), then the mirror's n x n byte matrix and
+        the copy of its transpose that ``m |= m.T`` makes, plus buffers of
+        n^2 bits each: the packed lower rows, the packed rows, their bytes
+        and the row ints."""
+        n = graph.MAX_DENSE_ORDER
+        nbits = n * (n - 1) // 2
+        record = graph._encode_size(n) + b"~" * ((nbits + 5) // 6)  # pad bits are ignored
+        tracemalloc.start()
+        try:
+            g = parse_graph6(record)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.rows == tuple(((1 << n) - 1) ^ (1 << v) for v in range(n))
+        assert peak < nbits + 2 * n * n + 4 * n * n // 8
 
 
 def components(g: Graph, excluded) -> list[frozenset[int]]:
