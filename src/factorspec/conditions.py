@@ -36,7 +36,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graph import Graph, component_masks, iter_bits, mask_of, set_of
+from .graph import Graph, bit_matrix, component_masks, iter_bits, mask_of, set_of
 
 PAIR_ENUM_CAP = 16
 SUBSET_ENUM_CAP = 22
@@ -163,7 +163,7 @@ def _subset_blocks(
     n = len(rows)
     k = min(n, _BLOCK_BITS)
     lift = 2 * n + 2  # added at each v in S, where the minimum below must give 0
-    adj = (np.array(rows, dtype=np.int64)[:, None] >> np.arange(n, dtype=np.int64)) & 1
+    adj = bit_matrix(rows)  # uint8, so ``weights`` below stays int64
     # column u: what u joining S adds to d_{G-S}(v) - y(v), lifted at v = u
     # (rows v < n), and to x(S) (row n)
     weights = np.vstack((lift * np.eye(n, dtype=np.int64) - adj, np.array(x, dtype=np.int64)))

@@ -8,13 +8,12 @@ across workers.  A simple graph's rows are the mirror of their bits below the
 diagonal: the ``Graph`` check and the graph6 codec read only that triangle,
 and graph6 decode builds its rows as that mirror, so it skips the check.
 
-The mirror takes one of two routes, chosen by order alone.  Up to
-MIRROR_MATRIX_ORDER vertices a Python loop sets one bit per edge, which is
-cheapest on the small catalog graphs that most calls see.  Above it the lower
-rows are unpacked into an n x n numpy bit matrix, OR-ed with its transpose and
-packed back, so a large graph costs a few passes over n^2 bytes instead of a
-Python step per edge.  Decode refuses orders above MAX_DENSE_ORDER before it
-reads the body, so that matrix stays bounded.
+``bit_matrix`` unpacks rows into an n x n 0/1 byte matrix, for the mirror,
+the spectral radius and the subset decider alike.  The mirror takes one of two
+routes, chosen by order alone.  Up to MIRROR_MATRIX_ORDER vertices, and above
+MAX_DENSE_ORDER, a Python loop sets one bit per edge, with no n^2 buffer.  In
+between the lower rows go through ``bit_matrix``, are OR-ed with the
+transpose and packed back: a few passes over n^2 bytes, not a step per edge.
 
 Vertex sets are plain Python sets/iterables of ints on the public surface;
 internally they are bitmasks.
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, pairwise
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -64,9 +63,18 @@ def set_of(mask: int) -> frozenset[int]:
 MIRROR_MATRIX_ORDER = 64
 
 
+def bit_matrix(rows: Sequence[int]) -> np.ndarray:
+    """The n x n uint8 matrix, n = len(rows), whose entry (v, u) is bit u of
+    ``rows[v]``; every row must lie below bit n."""
+    n = len(rows)
+    width = (n + 7) // 8  # bytes per row, bit u of a row in byte u // 8
+    packed = np.frombuffer(b"".join([row.to_bytes(width, "little") for row in rows]), np.uint8)
+    return np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little")
+
+
 def _mirror(lower: list[int]) -> tuple[int, ...]:
     """Rows of the simple graph whose row v has ``lower[v]`` below bit v."""
-    if len(lower) > MIRROR_MATRIX_ORDER:
+    if MIRROR_MATRIX_ORDER < len(lower) <= MAX_DENSE_ORDER:
         return _mirror_matrix(lower)
     return _mirror_loop(lower)
 
@@ -83,9 +91,8 @@ def _mirror_loop(lower: list[int]) -> tuple[int, ...]:
 
 def _mirror_matrix(lower: list[int]) -> tuple[int, ...]:
     n = len(lower)
-    width = (n + 7) // 8  # bytes per row, bit u of a row in byte u // 8
-    packed = np.frombuffer(b"".join([low.to_bytes(width, "little") for low in lower]), np.uint8)
-    m = np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little")
+    width = (n + 7) // 8
+    m = bit_matrix(lower)
     m |= m.T  # numpy copies the overlapping transpose first
     data = np.packbits(m, axis=1, bitorder="little").tobytes()
     return tuple([int.from_bytes(data[i:i + width], "little") for i in range(0, n * width, width)])
@@ -254,9 +261,10 @@ def is_connected(g: Graph) -> bool:
 
 
 # Largest order accepted where the input's size does not bound what gets
-# allocated: a dense adjacency matrix takes n^2 float64 (128 MB at 4096),
-# bitmask rows built from a bare vertex count take n^2 bits, and the mirror's
-# bit matrix takes n^2 bytes.
+# allocated: a dense adjacency matrix takes n^2 float64 (128 MB at 4096), and
+# bitmask rows built from a bare vertex count take n^2 bits.  ``bit_matrix``
+# takes n^2 bytes: the mirror calls it only up to this order, and its other
+# callers sit behind this guard or a decider's enumeration cap.
 MAX_DENSE_ORDER = 4096
 
 

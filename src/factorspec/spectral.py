@@ -1,13 +1,13 @@
 """Spectral radius machinery.
 
 The adjacency spectral radius of a graph is the largest top eigenvalue over
-its components.  The dense adjacency matrix is built once per graph from the
-row bitmasks; each component then takes one of two routes by its order k:
-a direct symmetric eigensolve (``numpy.linalg.eigh``) when k is at most
-``DIRECT_MAX_ORDER``, and power iteration on A + I above it, whose working
-memory is the matrix itself.  Either route certifies its value: the l2
-residual of the returned unit vector bounds the eigenvalue error, and it must
-be at most ``RHO_TOL``.
+its components.  ``graph.bit_matrix`` unpacks the row bitmasks into the
+dense adjacency matrix once per graph; each component then takes one of two
+routes by its order k: a direct symmetric eigensolve (``numpy.linalg.eigh``)
+when k is at most ``DIRECT_MAX_ORDER``, and power iteration on A + I above
+it, whose working memory is the matrix itself.  Either route certifies its
+value: the l2 residual of the returned unit vector bounds the eigenvalue
+error, and it must be at most ``RHO_TOL``.
 
 Also here: Hong's edge bound for connected graphs, and, for real-rooted
 integer polynomials such as the quotient polynomials of the clique joins,
@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph, check_dense_order, component_masks, is_connected, iter_bits
+from .graph import Graph, bit_matrix, check_dense_order, component_masks, is_connected, iter_bits
 
 # Components of at most this order go to the direct eigensolver: up to 64,
 # eigh costs under a millisecond, where iteration on a small spectral gap (a
@@ -95,16 +95,6 @@ def _direct(a: np.ndarray, tol: float) -> tuple[float, float, bool]:
     return rho, float(np.max(np.abs(r))), float(np.linalg.norm(r)) <= tol
 
 
-def _adjacency_bits(g: Graph) -> np.ndarray:
-    """n x n uint8 adjacency matrix: bit u of ``rows[v]`` is entry (v, u)."""
-    width = (g.n + 7) // 8
-    packed = b"".join(row.to_bytes(width, "little") for row in g.rows)
-    return np.unpackbits(
-        np.frombuffer(packed, dtype=np.uint8).reshape(g.n, width),
-        axis=1, count=g.n, bitorder="little",
-    )
-
-
 def spectral_radius(g: Graph) -> SpectralResult:
     """Largest adjacency eigenvalue; maximum over components when disconnected.
 
@@ -116,7 +106,7 @@ def spectral_radius(g: Graph) -> SpectralResult:
         raise ValueError("spectral radius needs at least one vertex")
     check_dense_order(g.n, "graph")
     tol = RHO_TOL
-    bits = _adjacency_bits(g)
+    bits = bit_matrix(g.rows)
     # isolated vertices contribute eigenvalue 0, on the direct route's side
     best_rho, best_res, best_method = 0.0, 0.0, "dense-eigh"
     total_iters = 0

@@ -424,10 +424,10 @@ class TestDenseOrderGuard:
     def test_dense_rho(self, monkeypatch):
         # every command decodes graph6 under its own guard first (below), so
         # this guard is reached through the library
-        def no_matrix(g):
+        def no_matrix(rows):
             raise AssertionError("adjacency matrix built above the limit")
 
-        monkeypatch.setattr(spectral, "_adjacency_bits", no_matrix)
+        monkeypatch.setattr(spectral, "bit_matrix", no_matrix)
         with pytest.raises(ValueError, match="^graph has order 9, above the dense limit 8$"):
             spectral.spectral_radius(complete(9))
 

@@ -6,6 +6,7 @@ import tracemalloc
 from itertools import combinations
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,14 @@ from factorspec import (
 )
 from factorspec import graph
 from factorspec.extremal import build_hnb
-from factorspec.graph import MIRROR_MATRIX_ORDER, component_masks, mask_of, set_of
+from factorspec.graph import (
+    MAX_DENSE_ORDER,
+    MIRROR_MATRIX_ORDER,
+    bit_matrix,
+    component_masks,
+    mask_of,
+    set_of,
+)
 from bruteforce import degrees_excluding, mirror_reference
 from catalogs import complete, disjoint_union, edges, join
 
@@ -283,7 +291,36 @@ class TestMirrorRoutes:
         for n in (MIRROR_MATRIX_ORDER, MIRROR_MATRIX_ORDER + 1):
             g = from_edge_list(n, [(0, n - 1), (1, 2)])
             parse_graph6(to_graph6(g))
-        assert routes == ["_mirror_loop"] * 2 + ["_mirror_matrix"] * 2
+        # above the dense limit decode refuses the order, and the check loops
+        n = MAX_DENSE_ORDER + 1
+        from_edge_list(n, [(0, n - 1), (1, 2)])
+        assert routes == ["_mirror_loop"] * 2 + ["_mirror_matrix"] * 2 + ["_mirror_loop"]
+
+
+class TestBitMatrix:
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 22, 64, 65, 200])
+    def test_layout_matches_shifts(self, n):
+        """Entry (v, u) is bit u of row v, on full rows and on lower-triangle
+        masks, across the byte boundaries of the rows' width."""
+        rng = random.Random(n)
+        for rows in ([rng.getrandbits(n) for _ in range(n)],
+                     [(1 << n) - 1] * n,
+                     [rng.getrandbits(n) & ((1 << v) - 1) for v in range(n)]):
+            expected = np.array([[(row >> u) & 1 for u in range(n)] for row in rows], np.uint8)
+            m = bit_matrix(rows)
+            assert m.dtype == np.uint8
+            assert np.array_equal(m, expected)
+
+
+def traced_peak(build):
+    """What ``build()`` returns, and the peak bytes it allocated on the way."""
+    tracemalloc.start()
+    try:
+        result = build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 class TestDecodeMemory:
@@ -293,17 +330,32 @@ class TestDecodeMemory:
         the copy of its transpose that ``m |= m.T`` makes, plus buffers of
         n^2 bits each: the packed lower rows, the packed rows, their bytes
         and the row ints."""
-        n = graph.MAX_DENSE_ORDER
+        n = MAX_DENSE_ORDER
         nbits = n * (n - 1) // 2
         record = graph._encode_size(n) + b"~" * ((nbits + 5) // 6)  # pad bits are ignored
-        tracemalloc.start()
-        try:
-            g = parse_graph6(record)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        g, peak = traced_peak(lambda: parse_graph6(record))
         assert g.rows == tuple(((1 << n) - 1) ^ (1 << v) for v in range(n))
         assert peak < nbits + 2 * n * n + 4 * n * n // 8
+
+
+class TestCheckMemory:
+    """Above MAX_DENSE_ORDER the ``Graph`` check mirrors by the bit loop, so a
+    sparse graph there allocates no n x n matrix: the matrix route peaked at
+    36-39 MB on these two at n = MAX_DENSE_ORDER + 1, the loop at 4.4 MB."""
+
+    n = MAX_DENSE_ORDER + 1
+
+    def test_path(self):
+        n = self.n
+        g, peak = traced_peak(lambda: from_edge_list(n, [(v, v + 1) for v in range(n - 1)]))
+        assert g.edge_count() == n - 1
+        assert peak < 8_000_000
+
+    def test_edgeless(self):
+        n = self.n
+        g, peak = traced_peak(lambda: Graph(n, (0,) * n))
+        assert g.edge_count() == 0
+        assert peak < 8_000_000
 
 
 def components(g: Graph, excluded) -> list[frozenset[int]]:

@@ -4,7 +4,7 @@ code with the oracle.
 A name that ``factorspec/__init__.py`` imports must be used in ``src/`` beyond
 its own definition, or be imported or wrapped by ``bench/``.  The one
 exception is ``threshold_n``, kept for the sweep of the theorem's band past
-the catalogs (ROADMAP item 7).
+the catalogs (ROADMAP item 9).
 """
 
 import ast
