@@ -31,7 +31,7 @@ from .conditions import (
     has_all_gf_factors,
 )
 from .extremal import build_g1, build_g2, build_hnb, rho_hnb
-from .graph import Graph, Graph6Error, check_dense_order, from_edge_list, parse_graph6, to_graph6
+from .graph import Graph, check_dense_order, from_edge_list, parse_graph6, to_graph6
 from .harness import (
     SCHEMA_VERSION,
     equivalence_suite,
@@ -373,7 +373,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, Graph6Error, CapExceededError, OSError) as exc:
+    except (ValueError, CapExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # never let a fault read as "property fails"

@@ -18,11 +18,12 @@ g(D) - |V - D| + sum_{x in S} (d_{G-D}(x) - f(x) + 1), tabulated once per D.
 A pair is skipped when its bound exceeds the least value so far, and a D when
 its least bound does, so ``pairs_examined`` depends on this order; pairs at
 that value are still evaluated, so the minimum and the witness do not.  The
-subset loop evaluates all 2^n subsets in blocks of 2^k (k = min(n, 12)) that
-share their bits above the k lowest vertices: one int64 table per call holds
-the degree deficits d_{G-S}(v) - f(v) of every low part S, and each block adds
-its high part's to it in one numpy pass.  Ties go to the least (sorted first
-set, sorted second set) pair of tuples, within a block and across blocks.
+subset loop only locates the least minimizer S: it evaluates all 2^n subsets
+in blocks of 2^k (k = min(n, 12)) that share their bits above the k lowest
+vertices, where one int64 table per call holds the degree deficits
+d_{G-S}(v) - f(v) of every low part S and each block adds its high part's to
+it in one numpy pass.  One exact evaluation at S then gives the minimum and T.
+Ties go to the least (sorted first set, sorted second set) pair of tuples.
 Enumeration is exact: graphs above PAIR_ENUM_CAP (pair loop) or
 SUBSET_ENUM_CAP (subset loop) vertices raise ``CapExceededError`` rather than
 being sampled, and no caller can lift these limits.
@@ -120,24 +121,20 @@ def _count_q(g: Graph, avoid: int, second: int, weights: Sequence[int], strict: 
     return q
 
 
-def _subset_terms(g: Graph, x: tuple[int, ...], y: tuple[int, ...]) -> list[tuple]:
-    """(row, x(v), y(v), bit of v) for every vertex v: the subset functional's inputs."""
-    return list(zip(g.rows, x, y, (1 << v for v in range(g.n))))
-
-
-def _subset_value(terms: list[tuple], smask: int) -> tuple[int, int]:
-    """The subset functional at S, with the derived T as a bitmask."""
+def _subset_value(g: Graph, x: Sequence[int], y: Sequence[int], smask: int) -> tuple[int, int]:
+    """The subset functional x(S) - y(T) + sum_{v in T} d_{G-S}(v) at S, with
+    T = {v not in S : d_{G-S}(v) < y(v)} as a bitmask."""
     keep = ~smask
     value = 0
     tmask = 0
-    for row, xv, yv, bit in terms:
-        if smask & bit:
+    for v, (row, xv, yv) in enumerate(zip(g.rows, x, y)):
+        if smask >> v & 1:
             value += xv
         else:
             d = (row & keep).bit_count()
             if d < yv:
                 value += d - yv
-                tmask |= bit
+                tmask |= 1 << v
     return value, tmask
 
 
@@ -195,7 +192,7 @@ def delta(g: Graph, bounds: DegreeBounds, s: Iterable[int], t: Iterable[int]) ->
 def theta(g: Graph, bounds: DegreeBounds, s: Iterable[int]) -> tuple[int, frozenset[int]]:
     """a|S| - b|T| + sum_{x in T} d_{G-S}(x) with T = {v not in S : d_{G-S}(v) < b}."""
     n = g.n
-    value, tmask = _subset_value(_subset_terms(g, (bounds.a,) * n, (bounds.b,) * n), mask_of(s, n))
+    value, tmask = _subset_value(g, (bounds.a,) * n, (bounds.b,) * n, mask_of(s, n))
     return value, set_of(tmask)
 
 
@@ -294,27 +291,28 @@ def lu_all_fractional_gf(g: Graph, funcs: DegreeFunctions) -> ConditionReport:
     """All fractional (g, f)-factors: g(S) - f(T) + sum_{x in T} d_{G-S}(x) >= 0
     for every S, with T = {v not in S : d_{G-S}(v) < f(v)}.
 
-    The blocks take f(v) capped at d(v) + 1.  A v outside S with a larger
-    f(v) is in T either way, so the cap raises the value of S by the excess
-    unless v is in S; adding the excess to g(v), and subtracting the total at
-    the end, keeps every value.  A g(v) then above d(v) is capped at d(v) + 1
-    too: S - v beats any S that holds such a v, so the minimizers and the
-    minimum stay.  Every value the blocks see is then at most n(n + 1) in
-    size, so their int64 arithmetic is exact however large g and f are.
+    The blocks only locate the least minimizer S, and one exact evaluation at
+    S reports the minimum and T.  They take y(v) = f(v) and x(v) =
+    g(v) + f(v) - y(v), each capped at d(v) + 1, so T stays; v is over-capped
+    when the cap lowers x(v).  On sets with no over-capped vertex the capped
+    functional exceeds the true one by the constant sum(f - y).  A set that
+    holds an over-capped v loses to the set without v under both: moving v
+    out lowers the value by at least d(v) + 1 (capped), or g(v) +
+    max(0, f(v) - d(v)) > d(v) (true), and raises at most d(v) other terms by
+    1 each.  So the minimizers agree, and every value the blocks see is at
+    most n(n + 1) in size: int64 is exact however large g and f are.
     """
     _guard(g, funcs, SUBSET_ENUM_CAP, "2^n")
     cap = [row.bit_count() + 1 for row in g.rows]
     y = [min(fv, c) for fv, c in zip(funcs.f, cap)]
     x = [min(gv + fv - yv, c) for gv, fv, yv, c in zip(funcs.g, funcs.f, y, cap)]
-    terms = _subset_terms(g, funcs.g, funcs.f)
     best = (sum(x) + 1, 0, 0)  # a value above every value of the capped functional
     for high, values in _subset_blocks(g.rows, x, y):
         least = int(values.min())
-        if least <= best[0]:
-            smask = _least_mask(np.flatnonzero(values == least) | high)
-            best = _least(best, least, smask, _subset_value(terms, smask)[1])
-    value, smask, tmask = best
-    return _report((value - sum(funcs.f) + sum(y), smask, tmask), 0, 1 << g.n)
+        if least <= best[0]:  # blocks hold distinct sets, so T breaks no tie
+            best = _least(best, least, _least_mask(np.flatnonzero(values == least) | high), 0)
+    value, tmask = _subset_value(g, funcs.g, funcs.f, best[1])
+    return _report((value, best[1], tmask), 0, 1 << g.n)
 
 
 def has_all_fractional_ab_factors(g: Graph, bounds: DegreeBounds) -> ConditionReport:

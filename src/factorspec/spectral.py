@@ -68,8 +68,6 @@ def _power_iteration(a: np.ndarray, tol: float, cap: int) -> tuple[float, float,
     """
     k = a.shape[0]
     x = np.full(k, 1.0 / math.sqrt(k))
-    lam = 0.0
-    res_inf = math.inf
     for it in range(1, cap + 1):
         ax = a @ x
         lam = float(x @ ax)
@@ -78,10 +76,9 @@ def _power_iteration(a: np.ndarray, tol: float, cap: int) -> tuple[float, float,
         # symmetric matrices, so converging on it certifies rho within tol
         if float(np.linalg.norm(r)) <= tol:
             return lam, float(np.max(np.abs(r))), it, True
-        res_inf = float(np.max(np.abs(r)))
         y = ax + x
         x = y / float(np.linalg.norm(y))
-    return lam, res_inf, cap, False
+    return lam, float(np.max(np.abs(r))), cap, False
 
 
 def _direct(a: np.ndarray, tol: float) -> tuple[float, float, bool]:

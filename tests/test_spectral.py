@@ -5,6 +5,7 @@ route calls the same LAPACK routine, so a pure-Python Collatz-Wielandt
 bracket checks the small components independently of it.
 """
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -207,6 +208,10 @@ class TestSpectralRadius:
         best = info.value.best
         assert abs(best.rho - eigvalsh_rho(g)) < 1e-6
         assert best.iterations > 0
+        # the inf-norm residual at the cap: the l2 norm exceeds tol, and
+        # ||r||_inf >= ||r||_2 / sqrt(k) on k = 200 entries
+        assert math.isfinite(best.residual)
+        assert best.residual >= 1e-14 / math.sqrt(200)
 
 
 class TestHongBound:
