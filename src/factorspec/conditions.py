@@ -23,7 +23,8 @@ in blocks of 2^k (k = min(n, 12)) that share their bits above the k lowest
 vertices, where one int64 table per call holds the degree deficits
 d_{G-S}(v) - f(v) of every low part S and each block adds its high part's to
 it in one numpy pass.  One exact evaluation at S then gives the minimum and T.
-Ties go to the least (sorted first set, sorted second set) pair of tuples.
+Both loops minimize integer keys that order by value, then by ``_rank``: ties go
+to the least (sorted first set, sorted second set) pair of tuples.
 Enumeration is exact: graphs above PAIR_ENUM_CAP (pair loop) or
 SUBSET_ENUM_CAP (subset loop) vertices raise ``CapExceededError`` rather than
 being sampled, and no caller can lift these limits.
@@ -152,26 +153,38 @@ def _subset_sums(columns: np.ndarray) -> np.ndarray:
 def _subset_blocks(
     rows: tuple[int, ...], x: Sequence[int], y: Sequence[int]
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """The subset functional at every S, one block at a time: (high, values)
-    with values[i] its value at S = high | i, for the 2^(n - k) masks ``high``
-    of the vertices above the k = min(n, _BLOCK_BITS) lowest.  Needs every
-    x(v), y(v) <= d(v) + 1, so that int64 is exact and ``lift`` exceeds
-    every |d_{G-S}(v) - y(v)|."""
+    """The subset functional's keys 2^(n + 1) * value + _rank(S, n) at every S,
+    one block at a time: (high, keys) with keys[i] the key of S = high | i,
+    for the 2^(n - k) masks ``high`` of the vertices above the k = min(n,
+    _BLOCK_BITS) lowest.  As 0 <= rank < 2^n, keys order by value, then by
+    rank, and no two are equal.  Needs 0 <= x(v), y(v) <= d(v) + 1 <= n, so
+    that ``lift`` exceeds every |d_{G-S}(v) - y(v)| and |value| <= n^2:
+    |key| < 2^(n + 1) * (n^2 + 1), no number here reaches 2^(n + 1) *
+    (n + 1)(n + 2), under 2^33 at n = 22, and int64 is exact."""
     n = len(rows)
     k = min(n, _BLOCK_BITS)
+    top = 1 << n
+    scale = 2 * top  # min(scale * t, 0) = scale * min(t, 0), so the value scales
     lift = 2 * n + 2  # added at each v in S, where the minimum below must give 0
     adj = bit_matrix(rows)  # uint8, so ``weights`` below stays int64
-    # column u: what u joining S adds to d_{G-S}(v) - y(v), lifted at v = u
-    # (rows v < n), and to x(S) (row n)
-    weights = np.vstack((lift * np.eye(n, dtype=np.int64) - adj, np.array(x, dtype=np.int64)))
+    rev = top >> np.arange(1, n + 1, dtype=np.int64)  # 2^(n - 1 - u): u's bit in r
+    # column u: what u joining S adds to scale * (d_{G-S}(v) - y(v)), lifted at
+    # v = u (rows v < n), to scale * x(S) + |S| - r (row n) and to r (row n + 1),
+    # where r is the mask of S reversed over n bits
+    weights = np.vstack((scale * (lift * np.eye(n, dtype=np.int64) - adj),
+                         scale * np.array(x, dtype=np.int64) + 1 - rev, rev))
     low = _subset_sums(weights[:, :k])
-    low[:n] += np.array([row.bit_count() - yv for row, yv in zip(rows, y)], dtype=np.int64)[:, None]
+    low[:n] += scale * np.array([row.bit_count() - yv for row, yv in zip(rows, y)],
+                                dtype=np.int64)[:, None]
     high = _subset_sums(weights[:, k:])
     block = np.empty((n, 1 << k), dtype=np.int64)
     for j in range(1 << (n - k)):
         np.add(low[:n], high[:n, j, None], out=block)
         np.minimum(block, 0, out=block)
-        yield j << k, block.sum(axis=0) + (low[n] + high[n, j])
+        # rank = 2^n + |S| - r - lowbit(r | 2^n): the high part's r holds the
+        # lowest bit in every block but the first, which has no high part
+        r = high[n + 1, j] or low[n + 1] | top
+        yield j << k, block.sum(axis=0) + (low[n] + (high[n, j] + top - (r & -r)))
 
 
 def delta(g: Graph, bounds: DegreeBounds, s: Iterable[int], t: Iterable[int]) -> int:
@@ -208,32 +221,16 @@ def _guard(g: Graph, funcs: DegreeFunctions, cap: int, loop: str) -> None:
         raise CapExceededError(f"n={g.n} exceeds the {loop} enumeration cap {cap}")
 
 
-def _least(best: tuple[int, int, int], value: int, smask: int, tmask: int) -> tuple[int, int, int]:
-    """The better of ``best`` and a candidate whose value is at most best's:
-    the lower value, and on a tie the least pair of sorted tuples."""
-    if value < best[0] or (
-        (tuple(iter_bits(smask)), tuple(iter_bits(tmask)))
-        < (tuple(iter_bits(best[1])), tuple(iter_bits(best[2])))
-    ):
-        return value, smask, tmask
-    return best
+def _rank(mask: int, n: int) -> int:
+    """The position of the set ``mask`` among the 2^n subsets of range(n) in
+    the order of their sorted tuples: 2^n + |S| - r - lowbit(r | 2^n), with r
+    the mask reversed over n bits; the empty set is first."""
+    top = 1 << n
+    r = int(bin(mask | top)[:2:-1], 2)  # the n bits after bin's "0b1", read back
+    return top + mask.bit_count() - r - (top >> mask.bit_length())  # lowbit(r | top)
 
 
-def _least_mask(masks: np.ndarray) -> int:
-    """The mask among ``masks`` (distinct, non-negative) whose sorted tuple of
-    bits is least, as ``_least`` orders them: the least first element wins,
-    so keep the masks that hold the lowest bit of any and strip it, until one
-    is left or one is used up, a prefix of the rest."""
-    prefix = 0
-    while len(masks) > 1 and masks.min() > 0:
-        lowest = (masks & -masks).min()
-        masks = masks[(masks & lowest) != 0] ^ lowest
-        prefix |= int(lowest)
-    return prefix | int(masks.min())
-
-
-def _report(best: tuple[int, int, int], threshold: int, examined: int) -> ConditionReport:
-    value, smask, tmask = best
+def _report(value: int, smask: int, tmask: int, threshold: int, examined: int) -> ConditionReport:
     return ConditionReport(value >= threshold, value, set_of(smask), set_of(tmask), examined)
 
 
@@ -255,7 +252,7 @@ def has_all_gf_factors(g: Graph, funcs: DegreeFunctions) -> ConditionReport:
     n, rows = g.n, g.rows
     strict = sum(1 << v for v in range(n) if lo[v] < hi[v])  # the v with g(v) < f(v)
     full = (1 << n) - 1
-    best = (sum(lo) + n * n, 0, 0)  # a value above every value of the functional
+    best = (sum(lo) + n * n, 0, 0, 0, 0)  # a value above every value of the functional
     examined = 0
     for k in range(n + 1):
         for combo in combinations(range(n), k):
@@ -265,6 +262,7 @@ def has_all_gf_factors(g: Graph, funcs: DegreeFunctions) -> ConditionReport:
             terms = [(rows[v] & comp).bit_count() - hi[v] + 1 for v in iter_bits(comp)]
             if floor + sum(t for t in terms if t < 0) > best[0]:
                 continue  # no S of this D can reach best
+            rank_d = _rank(dmask, n)
             bounds = [floor]  # the bound over the submasks of comp, ascending
             for t in terms:
                 bounds += [b + t for b in bounds]
@@ -275,9 +273,10 @@ def has_all_gf_factors(g: Graph, funcs: DegreeFunctions) -> ConditionReport:
                     value = (bound + (n - k - smask.bit_count())
                              - _count_q(g, dmask | smask, smask, lo, strict))
                     if value <= best[0]:
-                        best = _least(best, value, dmask, smask)
+                        best = min(best, (value, rank_d, _rank(smask, n), dmask, smask))
                 smask = (smask - 1) & comp
-    return _report(best, 0 if funcs.pointwise_equal else -1, examined)
+    value, _, _, dmask, smask = best
+    return _report(value, dmask, smask, 0 if funcs.pointwise_equal else -1, examined)
 
 
 def has_all_ab_factors(g: Graph, bounds: DegreeBounds) -> ConditionReport:
@@ -291,28 +290,27 @@ def lu_all_fractional_gf(g: Graph, funcs: DegreeFunctions) -> ConditionReport:
     """All fractional (g, f)-factors: g(S) - f(T) + sum_{x in T} d_{G-S}(x) >= 0
     for every S, with T = {v not in S : d_{G-S}(v) < f(v)}.
 
-    The blocks only locate the least minimizer S, and one exact evaluation at
-    S reports the minimum and T.  They take y(v) = f(v) and x(v) =
-    g(v) + f(v) - y(v), each capped at d(v) + 1, so T stays; v is over-capped
-    when the cap lowers x(v).  On sets with no over-capped vertex the capped
-    functional exceeds the true one by the constant sum(f - y).  A set that
-    holds an over-capped v loses to the set without v under both: moving v
-    out lowers the value by at least d(v) + 1 (capped), or g(v) +
-    max(0, f(v) - d(v)) > d(v) (true), and raises at most d(v) other terms by
-    1 each.  So the minimizers agree, and every value the blocks see is at
-    most n(n + 1) in size: int64 is exact however large g and f are.
+    The blocks only locate the minimizer S of least ``_rank`` (their least
+    key), and one exact evaluation at S reports the minimum and T.  They take
+    y(v) = f(v) and x(v) = g(v) + f(v) - y(v), each capped at d(v) + 1, so T
+    stays; v is over-capped when the cap lowers x(v).  On sets with no
+    over-capped vertex the capped functional exceeds the true one by the
+    constant sum(f - y).  A set that holds an over-capped v loses to the set
+    without v under both: moving v out lowers the value by at least d(v) + 1
+    (capped), or g(v) + max(0, f(v) - d(v)) > d(v) (true), and raises at most
+    d(v) other terms by 1 each.  So the minimizers agree, and as x, y <= d + 1
+    the keys stay exact in int64 however large g and f are.
     """
     _guard(g, funcs, SUBSET_ENUM_CAP, "2^n")
     cap = [row.bit_count() + 1 for row in g.rows]
     y = [min(fv, c) for fv, c in zip(funcs.f, cap)]
     x = [min(gv + fv - yv, c) for gv, fv, yv, c in zip(funcs.g, funcs.f, y, cap)]
-    best = (sum(x) + 1, 0, 0)  # a value above every value of the capped functional
-    for high, values in _subset_blocks(g.rows, x, y):
-        least = int(values.min())
-        if least <= best[0]:  # blocks hold distinct sets, so T breaks no tie
-            best = _least(best, least, _least_mask(np.flatnonzero(values == least) | high), 0)
+    best = ((sum(x) + 1) << g.n + 1, 0)  # above every key of the capped functional
+    for high, keys in _subset_blocks(g.rows, x, y):
+        i = int(keys.argmin())
+        best = min(best, (int(keys[i]), high | i))
     value, tmask = _subset_value(g, funcs.g, funcs.f, best[1])
-    return _report((value, best[1], tmask), 0, 1 << g.n)
+    return _report(value, best[1], tmask, 0, 1 << g.n)
 
 
 def has_all_fractional_ab_factors(g: Graph, bounds: DegreeBounds) -> ConditionReport:

@@ -536,6 +536,51 @@ class TestSubsetLoopOrder:
             assert report_tuple(lu_all_fractional_gf(g, funcs)) == subset_loop_reference(g, funcs)
 
 
+class TestRank:
+    def test_order_of_sorted_tuples(self):
+        # the masks in sorted-tuple order rank 0, 1, ..., 2^n - 1: the order
+        # is kept and every rank in range is taken once
+        for n in range(1, 13):
+            order = sorted(range(1 << n), key=lambda m: tuple(v for v in range(n) if m >> v & 1))
+            assert [conditions._rank(m, n) for m in order] == list(range(1 << n)), n
+
+
+class TestSubsetKeys:
+    def test_key_is_scaled_value_plus_rank(self):
+        # n = 13 and 14 span 2 and 4 blocks; the capped functional, with the
+        # decider's caps y = min(f, d + 1) and x = min(g + f - y, d + 1), is
+        # evaluated here one subset at a time from the rows
+        rng = random.Random(61)
+        for n in (13, 14):
+            g = random_graph(rng, n, 0.4)
+            gfun = [rng.choice((1, 2, 3, 10**19)) for _ in range(n)]
+            ffun = [gv + rng.choice((0, 1, 10**20)) for gv in gfun]
+            cap = [row.bit_count() + 1 for row in g.rows]
+            y = [min(fv, c) for fv, c in zip(ffun, cap)]
+            x = [min(gv + fv - yv, c) for gv, fv, yv, c in zip(gfun, ffun, y, cap)]
+            checked = []
+            for high, keys in conditions._subset_blocks(g.rows, x, y):
+                for s, key in enumerate(keys.tolist(), start=high):
+                    value = sum(x[v] if s >> v & 1 else
+                                min((g.rows[v] & ~s).bit_count() - y[v], 0) for v in range(n))
+                    assert key == (value << n + 1) + conditions._rank(s, n), (n, s)
+                    checked.append(s)
+            assert checked == list(range(1 << n))
+
+    def test_int64_headroom(self):
+        # x = y = d + 1 is the largest the caps admit; S = V of K_22 attains
+        # value n^2 at rank n, so the bound is tight up to the rank
+        n = conditions.SUBSET_ENUM_CAP
+        bound = (n * n + 1) << n + 1  # the bound on |key| in the docstring
+        for g, largest in ((complete(n), ((n * n) << n + 1) + n),
+                           (from_edge_list(n, []), (n << n + 1) + n)):
+            x = [row.bit_count() + 1 for row in g.rows]
+            sizes = [max(int(keys.max()), -int(keys.min()))
+                     for _, keys in conditions._subset_blocks(g.rows, x, x)]
+            assert len(sizes) == 1 << n - conditions._BLOCK_BITS
+            assert max(sizes) == largest < bound
+
+
 class TestSubsetMemory:
     def test_report_and_peak_at_the_cap(self):
         # memory stays within one block: an int64 array of all 2^22 subsets
