@@ -11,16 +11,26 @@ witness.  Two functionals cover the four deciders:
   over subsets S, with T = {v not in S : d_{G-S}(v) < f(v)}.
 
 The [a, b] deciders are these with g = a < b = f, where q is the number of
-components.  The pair loop takes D by ascending size, then
-lexicographically, and S in one walk down the subsets of V - D in descending
-numeric order.  As q <= |V - D - S|, the functional is at least the bound
-g(D) - |V - D| + sum_{x in S} (d_{G-D}(x) - f(x) + 1), tabulated once per D.
-A pair is skipped when its bound exceeds the least value so far, and a D when
-its least bound does, so ``pairs_examined`` depends on this order; pairs at
-that value are still evaluated, so the minimum and the witness do not.  The
-subset loop only locates the least minimizer S: it evaluates all 2^n subsets
-in blocks of 2^k (k = min(n, 12)) that share their bits above the k lowest
-vertices, where one int64 table per call holds the degree deficits
+components.  The pair walk starts, from order SEED_MIN_ORDER up, at a seed:
+the subset functional is the pair functional without q, so the least
+minimizer (S, T) of ``lu_all_fractional_gf`` is a pair (D, S), and its value
+there, q included, is the first least value.  Then it takes D by ascending
+size, then lexicographically, and walks the subsets S of V - D depth first,
+deciding the vertices from the highest down, the include branch first, so the
+leaves come in descending numeric order of S.  Two bounds, each modular in S,
+hold at every pair:
+q <= |V - D - S| gives g(D) - |V - D| + sum_{x in S} (d_{G-D}(x) - f(x) + 1),
+and as deleting a vertex x adds at most d(x) - 1 components,
+q <= c(G - D) + sum_{x in S} (d_{G-D}(x) - 1) gives
+g(D) - c(G - D) + sum_{x in S} (1 - f(x)), with c(G - D) counted once per D
+that passes the first.  A branch is cut when either bound, plus its negative
+terms still open, exceeds the least value so far.  So a pair is evaluated
+exactly when both of its bounds are at most the least value at its turn, and
+``pairs_examined``, those pairs plus one for the seed, depends on this order;
+pairs at that value are still evaluated, so the minimum and the witness do
+not.  The subset loop only locates the least minimizer S: it evaluates all
+2^n subsets in blocks of 2^k (k = min(n, 12)) that share their bits above the
+k lowest vertices, where one int64 table per call holds the degree deficits
 d_{G-S}(v) - f(v) of every low part S and each block adds its high part's to
 it in one numpy pass.  One exact evaluation at S then gives the minimum and T.
 Both loops minimize integer keys that order by value, then by ``_rank``: ties go
@@ -42,6 +52,7 @@ from .graph import Graph, bit_matrix, component_masks, iter_bits, mask_of, set_o
 
 PAIR_ENUM_CAP = 16
 SUBSET_ENUM_CAP = 22
+SEED_MIN_ORDER = 7  # the pair walk seeds from order 7; at 6 the seed costs more than it saves
 _BLOCK_BITS = 12  # a block's n x 2^12 int64 table is 720 KB at n = SUBSET_ENUM_CAP
 
 
@@ -243,38 +254,60 @@ def has_all_gf_factors(g: Graph, funcs: DegreeFunctions) -> ConditionReport:
 
     The verdict is the characterization's, which reports false when the box
     admits no even-total demand at all (g = f with odd total), rather than
-    the vacuous truth of the empty quantifier.  The pair loop runs in the
-    order of the module docstring, reading each D's table of bounds in
-    reverse as S steps down.
+    the vacuous truth of the empty quantifier.  The pair walk runs in the
+    order of the module docstring; each branch carries the least first and
+    second bound over its leaves.
     """
     _guard(g, funcs, PAIR_ENUM_CAP, "3^n")
     lo, hi = funcs.g, funcs.f
     n, rows = g.n, g.rows
     strict = sum(1 << v for v in range(n) if lo[v] < hi[v])  # the v with g(v) < f(v)
     full = (1 << n) - 1
-    best = (sum(lo) + n * n, 0, 0, 0, 0)  # a value above every value of the functional
-    examined = 0
+    if n >= SEED_MIN_ORDER:
+        # the subset functional is the pair functional without q, so its
+        # witness (S, T) is a pair (D, S) and its value minus q a real value
+        seed = lu_all_fractional_gf(g, funcs)
+        dmask, smask = mask_of(seed.witness_s, n), mask_of(seed.witness_t, n)
+        value = seed.min_value - _count_q(g, dmask | smask, smask, lo, strict)
+        best = (value, _rank(dmask, n), _rank(smask, n), dmask, smask)
+        examined = 1
+    else:
+        best = (sum(lo) + n * n, 0, 0, 0, 0)  # a value above every value of the functional
+        examined = 0
+    high_first = range(n - 1, -1, -1)
     for k in range(n + 1):
         for combo in combinations(range(n), k):
-            dmask = sum(1 << v for v in combo)
+            dmask = sum([1 << v for v in combo])
             comp = full & ~dmask
-            floor = sum(lo[v] for v in combo) - (n - k)  # g(D) - |V - D|
-            terms = [(rows[v] & comp).bit_count() - hi[v] + 1 for v in iter_bits(comp)]
-            if floor + sum(t for t in terms if t < 0) > best[0]:
+            g_d = sum([lo[v] for v in combo])
+            rest = [v for v in high_first if comp >> v & 1]
+            terms = [(rows[v] & comp).bit_count() - hi[v] + 1 for v in rest]
+            low1 = g_d - (n - k) + sum([t for t in terms if t < 0])
+            if low1 > best[0]:
                 continue  # no S of this D can reach best
+            low2 = g_d - len(component_masks(rows, n, dmask)) + sum(1 - hi[v] for v in rest)
+            if low2 > best[0]:
+                continue
             rank_d = _rank(dmask, n)
-            bounds = [floor]  # the bound over the submasks of comp, ascending
-            for t in terms:
-                bounds += [b + t for b in bounds]
-            smask = comp
-            for bound in reversed(bounds):
-                if bound <= best[0]:
+            # (depth, S, least first bound, least second bound) over the
+            # leaves below; the include branch is pushed last, so S descends.
+            # Including rest[i] adds its first term if positive, and excluding
+            # it drops its first term if negative and its second, 1 - f
+            stack = [(0, 0, low1, low2)]
+            while stack:
+                i, smask, low1, low2 = stack.pop()
+                if low1 > best[0] or low2 > best[0]:
+                    continue
+                if i == len(rest):
                     examined += 1
-                    value = (bound + (n - k - smask.bit_count())
+                    value = (low1 + (n - k - smask.bit_count())
                              - _count_q(g, dmask | smask, smask, lo, strict))
                     if value <= best[0]:
                         best = min(best, (value, rank_d, _rank(smask, n), dmask, smask))
-                smask = (smask - 1) & comp
+                    continue
+                v, t = rest[i], terms[i]
+                stack.append((i + 1, smask, low1 - t if t < 0 else low1, low2 + hi[v] - 1))
+                stack.append((i + 1, smask | 1 << v, low1 + t if t > 0 else low1, low2))
     value, _, _, dmask, smask = best
     return _report(value, dmask, smask, 0 if funcs.pointwise_equal else -1, examined)
 

@@ -2,10 +2,12 @@
 oracle for the blossom matching engine; a pure-Python max-flow deciding
 fractional p-factors on the bipartite double cover, the test oracle for
 ``all_fractional_oracle``; degrees in G - S, from which the tests
-re-evaluate the deficiency functionals; the component count q of the
-all-(g, f)-factors functional, by breadth-first search over Python sets; the
-pair loop of the integer decider in its documented order, the test oracle for
-its ``pairs_examined``; the subset loop of the fractional decider, one subset
+re-evaluate the deficiency functionals; the components of G - S and the
+count q of the all-(g, f)-factors functional, by breadth-first search over
+Python sets; a loop over every disjoint pair, the test oracle for the
+integer decider's minimum and witness, and the same order one pair at a time
+under both bounds of its walk, the test oracle for its ``pairs_examined``;
+the subset loop of the fractional decider, one subset
 at a time, the test oracle for its blocks; and the quotient of a built graph
 over consecutive vertex blocks, counted vertex by vertex, with its
 characteristic polynomial, the test oracle for ``extremal.layout_charpoly``;
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from factorspec import DegreeFunctions
 from factorspec.graph import Graph, iter_bits, mask_of
@@ -114,13 +116,12 @@ def degrees_excluding(g: Graph, excluded: Iterable[int]) -> dict[int, int]:
     return {v: (g.rows[v] & keep).bit_count() for v in range(g.n) if not (smask >> v) & 1}
 
 
-def q_count(g: Graph, d: Iterable[int], s: Iterable[int], funcs: DegreeFunctions) -> int:
-    """q(D, S) of the all-(g, f)-factors functional: the components C of
-    G - (D u S) that hold some v with g(v) < f(v) or have f(C) + e(C, S) odd."""
-    s = set(s)
+def components(g: Graph, removed: Iterable[int]) -> list[list[int]]:
+    """The components of G - removed, as lists of vertices, by breadth-first
+    search over Python sets."""
     neighbours = [set(iter_bits(row)) for row in g.rows]
-    seen = set(d) | s
-    q = 0
+    seen = set(removed)
+    comps = []
     for start in range(g.n):
         if start in seen:
             continue
@@ -131,6 +132,17 @@ def q_count(g: Graph, d: Iterable[int], s: Iterable[int], funcs: DegreeFunctions
                 seen.add(u)
                 comp.append(u)
                 queue.append(u)
+        comps.append(comp)
+    return comps
+
+
+def q_count(g: Graph, d: Iterable[int], s: Iterable[int], funcs: DegreeFunctions) -> int:
+    """q(D, S) of the all-(g, f)-factors functional: the components C of
+    G - (D u S) that hold some v with g(v) < f(v) or have f(C) + e(C, S) odd."""
+    s = set(s)
+    neighbours = [set(iter_bits(row)) for row in g.rows]
+    q = 0
+    for comp in components(g, set(d) | s):
         strict = any(funcs.g[v] < funcs.f[v] for v in comp)
         odd = sum(funcs.f[v] + len(neighbours[v] & s) for v in comp) % 2 == 1
         q += strict or odd
@@ -139,18 +151,63 @@ def q_count(g: Graph, d: Iterable[int], s: Iterable[int], funcs: DegreeFunctions
 
 def pair_loop_reference(
     g: Graph, funcs: DegreeFunctions
-) -> tuple[bool, int, tuple[int, ...], tuple[int, ...], int]:
-    """(verdict, minimum, D, S, pairs examined) of ``has_all_gf_factors``,
-    by the documented loop: D by size, then lexicographically; S descending
-    over the subsets of V - D; a pair evaluated when its bound
-    g(D) - f(S) + sum_{x in S} d_{G-D}(x) - |V - D - S| (the
-    functional with q at its largest) <= the least value so far; ties to the
-    least (D, S) pair of sorted tuples.  The driver also skips a D whose least
-    bound exceeds the least value so far; no pair of such a D would be
-    evaluated, so this loop leaves that skip out and counts the same."""
+) -> tuple[bool, int, tuple[int, ...], tuple[int, ...]]:
+    """(verdict, minimum, D, S) of ``has_all_gf_factors``, by a loop over
+    every pair: D by size, then lexicographically; S descending over the
+    subsets of V - D; a pair evaluated when its bound
+    g(D) - f(S) + sum_{x in S} d_{G-D}(x) - |V - D - S| (the functional with q
+    at its largest) <= the least value so far; ties to the least (D, S) pair
+    of sorted tuples."""
+    n = g.n
+    best = None
+    for d, s, g_d, degrees in _pairs_in_order(g, funcs):
+        base = g_d + sum(degrees[x] - funcs.f[x] for x in s)
+        if best is not None and base - (n - len(d) - len(s)) > best[0]:
+            continue
+        candidate = (base - q_count(g, d, s, funcs), d, s)
+        if best is None or candidate < best:
+            best = candidate
+    threshold = 0 if funcs.pointwise_equal else -1
+    return (best[0] >= threshold,) + best
+
+
+def pair_walk_count(g: Graph, funcs: DegreeFunctions) -> int:
+    """``pairs_examined`` of ``has_all_gf_factors``, one pair at a time.  From
+    order 7 up the seed counts one, and its value, that of
+    ``subset_loop_reference``'s minimum less q at its (S, T) taken as the pair
+    (D, S), is the first least value.  Then every pair, in the order of
+    ``pair_loop_reference``, counts and is evaluated when both of its bounds
+    are <= the least value so far:
+    g(D) - f(S) + sum_{x in S} d_{G-D}(x) - |V - D - S| (q <= |V - D - S|) and
+    g(D) - c(G - D) + |S| - f(S) (deleting x adds at most d(x) - 1 components)."""
     n = g.n
     best = None
     examined = 0
+    if n >= 7:
+        _, value, d, s, _ = subset_loop_reference(g, funcs)
+        best = value - q_count(g, d, s, funcs)
+        examined = 1
+    count_d = None
+    for d, s, g_d, degrees in _pairs_in_order(g, funcs):
+        if count_d != d:
+            count_d, c = d, len(components(g, d))
+        f_s = sum(funcs.f[x] for x in s)
+        base = g_d + sum(degrees[x] for x in s) - f_s
+        bounds = (base - (n - len(d) - len(s)), g_d - c + len(s) - f_s)
+        if best is not None and max(bounds) > best:
+            continue
+        examined += 1
+        value = base - q_count(g, d, s, funcs)
+        best = value if best is None else min(best, value)
+    return examined
+
+
+def _pairs_in_order(
+    g: Graph, funcs: DegreeFunctions
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int, dict[int, int]]]:
+    """(D, S, g(D), the degrees in G - D) for every disjoint pair, D by size,
+    then lexicographically, and S descending over the subsets of V - D."""
+    n = g.n
     for k in range(n + 1):
         for d in combinations(range(n), k):
             g_d = sum(funcs.g[v] for v in d)
@@ -158,15 +215,7 @@ def pair_loop_reference(
             rest = [v for v in range(n) if v not in d]
             subsets = [c for r in range(n - k + 1) for c in combinations(rest, r)]
             for s in sorted(subsets, key=lambda c: mask_of(c, n), reverse=True):
-                base = g_d + sum(degrees[x] - funcs.f[x] for x in s)
-                if best is not None and base - (n - k - len(s)) > best[0]:
-                    continue
-                examined += 1
-                candidate = (base - q_count(g, d, s, funcs), d, s)
-                if best is None or candidate < best:
-                    best = candidate
-    threshold = 0 if funcs.pointwise_equal else -1
-    return (best[0] >= threshold,) + best + (examined,)
+                yield d, s, g_d, degrees
 
 
 def subset_loop_reference(

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from factorspec import build_hnb, from_edge_list, graph, spectral, to_graph6
+from factorspec import build_hnb, conditions, from_edge_list, graph, spectral, to_graph6
 from factorspec.cli import build_parser, main
 from catalogs import CACHE_DIR, complete, connected_graphs
 
@@ -37,7 +37,7 @@ class TestCheck:
                            "--mode", "fractional", "--json")
         data = json.loads(out)
         assert code == 1
-        assert data["schema"] == 2
+        assert data["schema"] == 3
         assert data["verdict"] is False
         assert data["min_value"] == -1
 
@@ -272,6 +272,37 @@ class TestVerify:
             {"n": 6, "r": 3, "rho": 4.0},
         ]
 
+    def test_hong_counterexample_exits_1(self, capsys, monkeypatch, tmp_path):
+        # a radius twice HONG_TOL over Hong's bound is a failure
+        from factorspec import harness
+
+        monkeypatch.setattr(harness, "spectral_radius", lambda g: spectral.SpectralResult(
+            spectral.hong_bound(g) + 2 * harness.HONG_TOL, 0.0, 0, "dense-eigh"))
+        path = tmp_path / "cat.g6"
+        path.write_bytes(b"Bw\n")
+        code, out, err = run(capsys, "verify", "hong", "--input", str(path), "--json")
+        assert (code, err) == (1, "")
+        bound = spectral.hong_bound(complete(3))
+        assert json.loads(out)["failures"] == [
+            {"graph6": "Bw", "rho": harness._round12(bound + 2 * harness.HONG_TOL),
+             "bound": harness._round12(bound)}]
+
+    def test_quotient_counterexample_exits_1(self, capsys, monkeypatch):
+        # a dense radius twice QUOTIENT_TOL off the quotient's is a failure
+        from factorspec import harness
+
+        def off(g):
+            return spectral.SpectralResult(
+                spectral.spectral_radius(g).rho + 2 * harness.QUOTIENT_TOL, 0.0, 0, "dense-eigh")
+
+        monkeypatch.setattr(harness, "spectral_radius", off)
+        code, out, err = run(capsys, "verify", "quotient", "--n-grid", "10", "--b-grid", "3",
+                             "--json")
+        assert (code, err) == (1, "")
+        assert json.loads(out)["failures"] == [harness._round12(
+            {"n": 10, "b": 3, "quotient": harness.rho_hnb(10, 3),
+             "dense": off(build_hnb(10, 3)).rho})]
+
     @pytest.mark.parametrize("argv, cases, name", [
         (["lemma24"], 1369, "hnb-witnesses"),
         (["lemma23"], 15, "g1-g2-spectral-bounds"),
@@ -283,7 +314,7 @@ class TestVerify:
         code, out, err = run(capsys, "verify", *argv, "--json")
         assert (code, err) == (0, "")
         assert out == (f'{{"cases_run": {cases}, "failures": [], "name": "{name}", '
-                       '"schema": 2}\n')
+                       '"schema": 3}\n')
 
     def test_hong_with_catalog(self, capsys, tmp_path):
         path = tmp_path / "cat.g6"
@@ -294,7 +325,7 @@ class TestVerify:
     def test_json(self, capsys):
         code, out, _ = run(capsys, "verify", "lemma24", "--nmax", "10", "--json")
         data = json.loads(out)
-        assert data["schema"] == 2 and data["failures"] == []
+        assert data["schema"] == 3 and data["failures"] == []
 
 
 class TestMineAndSuite:
@@ -465,6 +496,12 @@ class TestDenseOrderGuard:
 class TestEnumerationCaps:
     """The decider caps are fixed: larger inputs are usage errors naming the
     cap, and no flag lifts them."""
+
+    def test_caps_and_dense_limit(self):
+        # raising any of the three is a change to its constant, with its own
+        # measurement
+        assert (conditions.PAIR_ENUM_CAP, conditions.SUBSET_ENUM_CAP,
+                graph.MAX_DENSE_ORDER) == (16, 22, 4096)
 
     @pytest.mark.parametrize("n, mode, loop, cap", [
         (17, "integer", "3^n", 16), (17, "gf", "3^n", 16), (23, "fractional", "2^n", 22),

@@ -28,8 +28,8 @@ from factorspec import (
 )
 from factorspec import conditions
 from factorspec.extremal import build_hnb
-from bruteforce import (degrees_excluding, has_fractional_factor, pair_loop_reference, q_count,
-                        subset_loop_reference)
+from bruteforce import (degrees_excluding, has_fractional_factor, pair_loop_reference,
+                        pair_walk_count, q_count, subset_loop_reference)
 from catalogs import all_graphs, complete, connected_graphs, disjoint_union, edges
 
 
@@ -417,7 +417,7 @@ def brute_force_minima(g, bounds, funcs):
 
 class TestGoldenReports:
     """Full reports, pairs_examined included, pinned for fixed inputs; the
-    count depends on the pair loop order and its skip rule."""
+    count depends on the pair walk's order, its seed and its two bounds."""
 
     PETERSEN = from_edge_list(
         10,
@@ -431,32 +431,32 @@ class TestGoldenReports:
     CIRCULANT_12 = from_edge_list(12, [(i, (i + d) % 12) for i in range(12) for d in (1, 3)])
     STAR_12 = from_edge_list(13, [(0, i) for i in range(1, 13)])
     STAR_13 = from_edge_list(14, [(0, i) for i in range(1, 14)])
-    EDGELESS_16 = from_edge_list(16, [])  # at PAIR_ENUM_CAP; every D but the empty one skipped
+    EDGELESS_16 = from_edge_list(16, [])  # at PAIR_ENUM_CAP; the seed, then one pair of D = {}
     GNP_14, GNP_14_FUNCS = gnp_14_case()  # its witness S holds 12 and 13, above the first block
 
     @pytest.mark.parametrize(
         "decide, graph, arg, expected",
         [
             (has_all_ab_factors, build_hnb(10, 3), DegreeBounds(2, 3),
-             (False, -2, [], [0], 436)),
+             (False, -2, [], [0], 85)),
             (has_all_ab_factors, disjoint_union(complete(2), complete(2)), DegreeBounds(1, 2),
-             (False, -4, [], [0, 1, 2], 16)),
+             (False, -4, [], [0, 1, 2], 11)),
             (has_all_gf_factors, EQYW, EQYW_FUNCS, (False, -13, [4], [0, 1, 2, 3], 9)),
             (has_all_gf_factors, PETERSEN, DegreeFunctions.constant(10, 1, 1),
-             (True, 0, [], [], 9698)),  # g = f: threshold 0 and q by parity alone
+             (True, 0, [], [], 1277)),  # g = f: threshold 0 and q by parity alone
             (has_all_gf_factors, PETERSEN, PETERSEN_FUNCS,
-             (False, -3, [0, 2, 6], [1, 3, 4, 5], 6060)),
+             (False, -3, [0, 2, 6], [1, 3, 4, 5], 2825)),
             (lu_all_fractional_gf, EQYW, EQYW_FUNCS, (False, -13, [4, 5], [0, 1, 2, 3], 64)),
             (lu_all_fractional_gf, PETERSEN, PETERSEN_FUNCS,
              (False, -3, [0, 2, 6, 9], [1, 3, 4, 5, 7, 8], 1024)),
             (has_all_fractional_ab_factors, CIRCULANT_12, DegreeBounds(2, 3),
              (False, -6, [0, 2, 4, 6, 8, 10], [1, 3, 5, 7, 9, 11], 4096)),
             (has_all_ab_factors, STAR_12, DegreeBounds(1, 2),
-             (False, -23, [0], list(range(1, 13)), 4098)),
+             (False, -23, [0], list(range(1, 13)), 2)),
             (has_all_ab_factors, STAR_13, DegreeBounds(1, 2),
-             (False, -25, [0], list(range(1, 14)), 8194)),
+             (False, -25, [0], list(range(1, 14)), 2)),
             (has_all_ab_factors, EDGELESS_16, DegreeBounds(1, 2),
-             (False, -32, [], list(range(16)), 1)),
+             (False, -32, [], list(range(16)), 2)),
             (has_all_fractional_ab_factors, build_hnb(16, 4), DegreeBounds(1, 4),
              (False, -1, [], [0], 65536)),
             (lu_all_fractional_gf, GNP_14, GNP_14_FUNCS,
@@ -470,13 +470,15 @@ class TestGoldenReports:
 
 
 class TestPairLoopOrder:
-    """Full reports of the integer deciders, pairs_examined included, against
-    the documented loop order in ``bruteforce.pair_loop_reference``."""
+    """Full reports of the integer deciders against the loop over every pair
+    in ``bruteforce.pair_loop_reference`` (verdict, minimum and witness) and
+    the walk's order and bounds, one pair at a time, in
+    ``bruteforce.pair_walk_count`` (pairs_examined)."""
 
     def test_reports_match_reference(self):
         # g = f takes the threshold-0 path and q's parity path; the per-D
         # skip fires on almost every D of an edgeless graph and on few of a
-        # complete graph's
+        # complete graph's; from n = 7 the walk starts at the seed
         rng = random.Random(97)
         cases = []
         for n in (5, 6, 7, 8, 9, 10):
@@ -494,10 +496,44 @@ class TestPairLoopOrder:
                 cases += [(g, DegreeFunctions.constant(n, a, b))
                           for a, b in ((1, 1), (1, 2), (2, 3))]
         for g, funcs in cases:
-            report = has_all_gf_factors(g, funcs)
-            assert (report.verdict, report.min_value, tuple(sorted(report.witness_s)),
-                    tuple(sorted(report.witness_t)), report.pairs_examined
-                    ) == pair_loop_reference(g, funcs)
+            expected = pair_loop_reference(g, funcs) + (pair_walk_count(g, funcs),)
+            assert report_tuple(has_all_gf_factors(g, funcs)) == expected
+
+
+class TestAdditivity:
+    """Every term of the pair functional is a sum over components, so on a
+    disjoint union G u H the minimum is min(G) + min(H), and the witness
+    restricted to each part minimizes that part.  The union's least witness
+    need not be the union of the parts' (sorted tuples compare lengths
+    first), so each restriction is only re-evaluated, by the test's own
+    degrees and component count.  This ties the seeded walk on the union to
+    the walks on its parts without any copy of its bounds."""
+
+    def test_union_minimum_is_the_sum_of_the_parts(self):
+        rng = random.Random(12)
+        for kind in ("[1,2]", "[2,3]", "mixed"):
+            for _ in range(6):
+                n1 = rng.randint(4, 8)
+                n2 = rng.randint(max(3, 7 - n1), 12 - n1)  # 7 <= n <= 12: the union is seeded
+                parts = [rng.choice(all_graphs(n1)), rng.choice(all_graphs(n2))]
+                n = n1 + n2
+                if kind == "mixed":
+                    gfun = tuple(rng.randint(1, 3) for _ in range(n))
+                    funcs = DegreeFunctions(gfun, tuple(gv + rng.choice((0, 0, 1, 2))
+                                                        for gv in gfun))
+                else:
+                    funcs = DegreeFunctions.constant(n, int(kind[1]), int(kind[3]))
+                whole = has_all_gf_factors(disjoint_union(*parts), funcs)
+                total = 0
+                for part, span in zip(parts, (range(n1), range(n1, n))):
+                    part_funcs = DegreeFunctions(funcs.g[span.start:span.stop],
+                                                 funcs.f[span.start:span.stop])
+                    least = has_all_gf_factors(part, part_funcs).min_value
+                    d, s = ([v - span.start for v in witness if v in span]
+                            for witness in (whole.witness_s, whole.witness_t))
+                    assert reeval_gf(part, part_funcs, d, s) == least, (kind, to_graph6(part))
+                    total += least
+                assert whole.min_value == total, kind
 
 
 class TestSubsetLoopOrder:

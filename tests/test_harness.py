@@ -250,7 +250,7 @@ class TestJsonReports:
             rho_hnb_reference=2.0 / 3.0, hnb_is_argmax=False, elapsed=1.23,
         )
         data = json.loads(json.dumps(report_to_dict(report)))
-        assert data["schema"] == 2
+        assert data["schema"] == 3
         assert data["max_rho_failing"] == 0.333333333333
         assert data["rho_hnb_reference"] == 0.666666666667
         assert "elapsed" not in data
@@ -258,7 +258,7 @@ class TestJsonReports:
     def test_suite_report_dict(self):
         report = SuiteReport(suite="integer-equivalence", cases_run=2, mismatches=[], elapsed=0.5)
         data = report_to_dict(report)
-        assert data["schema"] == 2 and data["mismatches"] == []
+        assert data["schema"] == 3 and data["mismatches"] == []
         assert report.passed
 
     def test_json_sorted_keys_stable(self):
