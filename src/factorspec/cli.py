@@ -33,7 +33,6 @@ from .conditions import (
 from .extremal import build_g1, build_g2, build_hnb, rho_hnb
 from .graph import Graph, check_dense_order, from_edge_list, parse_graph6, to_graph6
 from .harness import (
-    SCHEMA_VERSION,
     equivalence_suite,
     load_graph6_file,
     mine_extremal,
@@ -43,7 +42,7 @@ from .harness import (
     verify_hong,
     verify_k1_join_bound,
     verify_quotient_transfer,
-    _round12,
+    versioned,
 )
 from .spectral import DIRECT_MAX_ORDER, spectral_radius
 
@@ -128,8 +127,9 @@ def _load_vertex_function(path: str, n: int) -> tuple[int, ...]:
 
 
 def _emit(args, payload: dict, human_lines: list[str]) -> None:
+    """Print ``payload``, already ``versioned``, under ``--json``, else the lines."""
     if args.json:
-        print(json.dumps({"schema": SCHEMA_VERSION, **_round12(payload)}, sort_keys=True))
+        print(json.dumps(payload, sort_keys=True))
     else:
         for line in human_lines:
             print(line)
@@ -170,7 +170,7 @@ def cmd_check(args) -> int:
         else:
             report = has_all_fractional_ab_factors(g, bounds)
     payload = _condition_payload(report)
-    _emit(args, {"mode": args.mode, **payload},
+    _emit(args, versioned({"mode": args.mode, **payload}),
           [f"{key}: {json.dumps(value)}" for key, value in payload.items()])
     return 0 if report.verdict else 1
 
@@ -191,7 +191,7 @@ def cmd_rho(args) -> int:
             "exceeds": True,
             "method": "quotient-3x3",
         }
-        _emit(args, payload, [
+        _emit(args, versioned(payload), [
             f"rho(hnb({n},{b})) = {rho:.12g}",
             f"n - 2 = {n - 2}",
             "exceeds: true",
@@ -206,8 +206,9 @@ def cmd_rho(args) -> int:
         "iterations": result.iterations,
         "method": result.method,
     }
-    _emit(args, payload, [f"rho = {result.rho:.12g}  (residual {result.residual:.3g}, "
-                          f"{result.iterations} iterations, {result.method})"])
+    _emit(args, versioned(payload),
+          [f"rho = {result.rho:.12g}  (residual {result.residual:.3g}, "
+           f"{result.iterations} iterations, {result.method})"])
     return 0
 
 
@@ -223,7 +224,8 @@ def cmd_construct(args) -> int:
     else:
         g = build_g2(args.b, args.n)
     record = to_graph6(g).decode("ascii")
-    _emit(args, {"kind": args.kind, "graph6": record, "n": g.n, "edges": g.edge_count()},
+    _emit(args, versioned({"kind": args.kind, "graph6": record, "n": g.n,
+                           "edges": g.edge_count()}),
           [record])
     return 0
 

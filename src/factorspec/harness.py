@@ -400,9 +400,15 @@ def _round12(value):
     return value
 
 
+def versioned(payload: dict) -> dict:
+    """``payload`` as it is printed: schema field added, reals rounded to 12
+    significant digits.  Every ``--json`` line goes through here."""
+    return {"schema": SCHEMA_VERSION, **_round12(payload)}
+
+
 def report_to_dict(report) -> dict:
-    """Dataclass report -> JSON-ready dict: schema field added, reals rounded
-    to 12 significant digits, wall-clock dropped for byte-stable output."""
+    """Dataclass report -> ``versioned`` dict, wall-clock dropped for
+    byte-stable output."""
     data = dataclasses.asdict(report)
     data.pop("elapsed", None)
-    return {"schema": SCHEMA_VERSION, **_round12(data)}
+    return versioned(data)

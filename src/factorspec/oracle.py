@@ -8,10 +8,9 @@ conjunction over every admissible demand.  The gadget is built straight into
 adjacency lists by one builder, which ``tutte_gadget`` also wraps.
 
 Fractional: ``all_fractional_oracle`` applies max-flow/min-cut on the
-bipartite double cover at every corner {a, b}^n of the demand box, which
-suffices because the realizable demands form a convex set.  It evaluates
-every (subset, corner) value of the min-cut inequality in blocked matrix
-products and uses neither Anstee's nor Lu's formula.
+bipartite double cover and checks each cut of the min-cut inequality at its
+worst demand in the box [a, b]^n, which is b on the cut and a off it.  It
+uses neither Anstee's nor Lu's formula.
 """
 
 from __future__ import annotations
@@ -246,11 +245,6 @@ def all_ab_factors_oracle(g: Graph, bounds: DegreeBounds) -> bool:
     return True
 
 
-# (subset, corner) values per matmul block: 2^14 float64 entries, 128 KB, so
-# the block and its row minima stay in cache.
-_BLOCK = 1 << 14
-
-
 @lru_cache(maxsize=16)
 def _subset_matrix(n: int) -> np.ndarray:
     """Read-only 2^n x n 0/1 matrix whose row X is the indicator of the vertex
@@ -266,39 +260,29 @@ def all_fractional_oracle(g: Graph, bounds: DegreeBounds) -> bool:
 
     Max-flow/min-cut on the bipartite double cover (a left and a right copy
     of V, a unit-capacity arc u_L -> w_R per edge uw, supply p(u) at u_L and
-    demand p(w) at w_R) says g has a fractional p-factor iff, for every
-    X subset of V, sum_u min(p(u), |N(u) & X|) >= p(X).  The realizable p
-    form a zonotope (the image of [0, 1]^E under the degree map), which is
-    convex, so the box [a, b]^n lies inside it iff its 2^n corners {a, b}^n
-    do.  Neither step uses Anstee's or Lu's formula, so this oracle is
-    independent of the fractional deciders.
+    demand p(w) at w_R) says g has a fractional p-factor iff, for every cut
+    X subset of V, sum_u min(p(u), |N(u) & X|) >= p(X).  Neither step uses
+    Anstee's or Lu's formula, so this oracle is independent of the
+    fractional deciders.
 
-    Corner c gives p = a + (b - a) c, and the inequality at (X, c) reads
-    base[X] + lin[X] . c >= 0 with d_X = |N(u) & X| per u,
-    base[X] = sum_u min(d_X, a) - a|X| and
-    lin[X] = min(d_X, b) - min(d_X, a) - (b - a) [u in X].  Every (X, c)
-    value is computed, as one float64 matmul per block of X rows against
-    the subset matrix (which doubles as the corner matrix); the entries are
-    small integers, so the arithmetic is exact.  The first block with a
-    negative value ends the search.  The guard counts the 4^n evaluations.
+    Each term of that inequality depends on p(u) alone: min(p(u), d_X(u))
+    is nondecreasing in p(u), and min(p(u), d_X(u)) - p(u) nonincreasing.
+    So the worst demand of the box at X is p = b on X and a off it, and the
+    box passes iff the slack of every cut at its worst demand,
+    sum_{u not in X} min(a, d_X(u)) + sum_{u in X} (min(b, d_X(u)) - b),
+    is >= 0.  Every minimum is below n, so the float64 slacks are exact up
+    to b = 2^53 / n, and past that b|X| outweighs them at every nonempty
+    cut, so their signs still hold.  The guard counts the 4^n (cut, corner)
+    pairs that this check covers.
     """
     n = g.n
     if n < 1:
         raise ValueError("oracle rejects the empty graph")
     if 4**n > DEMAND_BUDGET:
-        raise CapExceededError(
-            f"{4**n} (subset, corner) evaluations exceed budget {DEMAND_BUDGET}"
-        )
+        raise CapExceededError(f"{4**n} (cut, corner) pairs exceed budget {DEMAND_BUDGET}")
     a, b = bounds.a, bounds.b
     subsets = _subset_matrix(n)
     deg_in = subsets @ subsets[list(g.rows)]  # [X, u] = |N(u) & X|
-    low = np.minimum(deg_in, a)
-    base = low.sum(axis=1) - a * subsets.sum(axis=1)
-    lin = np.minimum(deg_in, b) - low - (b - a) * subsets
-    corners = subsets.T
-    step = max(1, _BLOCK >> n)
-    for start in range(0, 1 << n, step):
-        worst = (lin[start:start + step] @ corners).min(axis=1)
-        if (base[start:start + step] + worst < 0).any():
-            return False
-    return True
+    worst = a + (b - a) * subsets  # [X, u] = b if u in X else a
+    slack = (np.minimum(deg_in, worst) - b * subsets).sum(axis=1)
+    return bool((slack >= 0).all())

@@ -1,24 +1,27 @@
 """Exhaustive references: a backtracking perfect-matching search, the test
 oracle for the blossom matching engine; a pure-Python max-flow deciding
 fractional p-factors on the bipartite double cover, the test oracle for
-``all_fractional_oracle``; degrees in G - S, from which the tests
-re-evaluate the deficiency functionals; the components of G - S and the
-count q of the all-(g, f)-factors functional, by breadth-first search over
-Python sets; a loop over every disjoint pair, the test oracle for the
-integer decider's minimum and witness, and the same order one pair at a time
-under both bounds of its walk, the test oracle for its ``pairs_examined``;
-the subset loop of the fractional decider, one subset
-at a time, the test oracle for its blocks; and the quotient of a built graph
-over consecutive vertex blocks, counted vertex by vertex, with its
-characteristic polynomial, the test oracle for ``extremal.layout_charpoly``;
-and the mirror of a lower triangle, one vertex pair at a time, the test
-oracle for both routes of ``graph._mirror``."""
+``all_fractional_oracle``, and its cut inequality at every corner of the
+demand box, the test oracle for that oracle's worst demand per cut; degrees
+in G - S, from which the tests re-evaluate the deficiency functionals; the
+components of G - S and the count q of the all-(g, f)-factors functional, by
+breadth-first search over Python sets; a loop over every disjoint pair, the
+test oracle for the integer decider's minimum and witness, and the same
+order one pair at a time under both bounds of its walk, the test oracle for
+its ``pairs_examined``; the subset loop of the fractional decider, one
+subset at a time, the test oracle for its blocks; and the quotient of a
+built graph over consecutive vertex blocks, counted vertex by vertex, with
+its characteristic polynomial, the test oracle for
+``extremal.layout_charpoly``; and the mirror of a lower triangle, one vertex
+pair at a time, the test oracle for both routes of ``graph._mirror``."""
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from factorspec import DegreeFunctions
 from factorspec.graph import Graph, iter_bits, mask_of
@@ -107,6 +110,24 @@ def has_fractional_factor(g: Graph, p: Sequence[int]) -> bool:
         for w in iter_bits(g.rows[u]):
             cap[u][n + w] = 1
     return max_flow(cap, source, sink) == sum(p)
+
+
+def corner_cut_minima(g: Graph, a: int, b: int) -> np.ndarray:
+    """Entry X (a vertex set, by mask) is the least slack of the double-cover
+    cut inequality sum_u min(p(u), |N(u) & X|) - p(X) over every corner p of
+    {a, b}^n, each (X, corner) pair evaluated in full; g has a fractional
+    p-factor at every corner iff no entry is negative."""
+    n = g.n
+    masks = np.arange(1 << n)[:, None]
+    inside = (masks >> np.arange(n)) & 1  # [set, v]
+    shared = masks & np.array(g.rows, dtype=np.int64)  # [X, u] = N(u) & X, as a mask
+    deg_in = ((shared[:, :, None] >> np.arange(n)) & 1).sum(axis=2)  # [X, u]
+    demand = np.where(inside == 1, b, a)  # [corner, u]
+    slack = np.zeros((1 << n, 1 << n), dtype=np.int64)  # [X, corner]
+    for u in range(n):
+        slack += np.minimum.outer(deg_in[:, u], demand[:, u])
+        slack -= np.multiply.outer(inside[:, u], demand[:, u])
+    return slack.min(axis=1)
 
 
 def degrees_excluding(g: Graph, excluded: Iterable[int]) -> dict[int, int]:

@@ -68,7 +68,7 @@ def test_c04_fractional_decider_vs_per_demand_oracle_order_8():
     assert report.cases_run == len(graphs) * 3
     assert report.passed, report.mismatches[:5]
     assert report.elapsed < 600.0, f"took {report.elapsed:.1f}s, target 600s"
-    print(f"PASS criterion 4: fractional decider == double-cover corner oracle on "
+    print(f"PASS criterion 4: fractional decider == double-cover cut oracle on "
           f"{report.cases_run} cases ({report.elapsed:.1f}s)")
 
 

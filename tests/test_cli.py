@@ -303,6 +303,18 @@ class TestVerify:
             {"n": 10, "b": 3, "quotient": harness.rho_hnb(10, 3),
              "dense": off(build_hnb(10, 3)).rho})]
 
+    def test_quotient_radius_at_n_minus_2_exits_1(self, capsys, monkeypatch):
+        # both routes agree on exactly n - 2, which the open range excludes
+        from factorspec import harness
+
+        monkeypatch.setattr(harness, "rho_hnb", lambda n, b: float(n - 2))
+        monkeypatch.setattr(harness, "spectral_radius", lambda g: spectral.SpectralResult(
+            float(g.n - 2), 0.0, 0, "dense-eigh"))
+        code, out, err = run(capsys, "verify", "quotient", "--n-grid", "10", "--b-grid", "3",
+                             "--json")
+        assert (code, err) == (1, "")
+        assert json.loads(out)["failures"] == [{"n": 10, "b": 3, "rho_out_of_range": 8.0}]
+
     @pytest.mark.parametrize("argv, cases, name", [
         (["lemma24"], 1369, "hnb-witnesses"),
         (["lemma23"], 15, "g1-g2-spectral-bounds"),

@@ -5,6 +5,7 @@ reproduce its minimum when the functional is re-evaluated at the witness
 through the public primitives.
 """
 
+import functools
 import itertools
 import random
 import tracemalloc
@@ -15,6 +16,7 @@ from factorspec import (
     CapExceededError,
     DegreeBounds,
     DegreeFunctions,
+    all_fractional_oracle,
     delta,
     from_edge_list,
     has_all_ab_factors,
@@ -534,6 +536,53 @@ class TestAdditivity:
                     assert reeval_gf(part, part_funcs, d, s) == least, (kind, to_graph6(part))
                     total += least
                 assert whole.min_value == total, kind
+
+    def test_fractional_union_minimum_is_the_sum_of_the_parts(self):
+        # the subset functional's terms are sums over vertices whose degrees
+        # in G - S stay inside their part; unions of two or three catalog
+        # graphs, 12 to 18 vertices, at mixed (g, f)
+        rng = random.Random(27)
+        for i in range(16):
+            orders = [rng.randint(6, 8) for _ in range(2)] if i % 2 else [
+                rng.randint(4, 6) for _ in range(3)]
+            parts = [rng.choice(all_graphs(k)) for k in orders]
+            n = sum(orders)
+            gfun = tuple(rng.randint(1, 3) for _ in range(n))
+            ffun = tuple(gv + rng.choice((0, 0, 1, 2)) for gv in gfun)
+            whole = lu_all_fractional_gf(functools.reduce(disjoint_union, parts),
+                                         DegreeFunctions(gfun, ffun))
+            total, start = 0, 0
+            for part in parts:
+                span = range(start, start + part.n)
+                start = span.stop
+                part_g, part_f = gfun[span.start:span.stop], ffun[span.start:span.stop]
+                least = lu_all_fractional_gf(part, DegreeFunctions(part_g, part_f)).min_value
+                s = [v - span.start for v in whole.witness_s if v in span]
+                assert reeval_subset(part, part_g, part_f, s)[0] == least, to_graph6(part)
+                total += least
+            assert whole.min_value == total, orders
+
+    def test_fractional_oracle_union_passes_iff_both_parts_do(self):
+        # a cut's worst slack is the sum of its parts', and the empty cut
+        # reads 0, so a union fails iff one of its parts does; half the
+        # parts have minimum degree >= b, so both verdicts occur
+        rng = random.Random(28)
+        verdicts = set()
+        for i in range(40):
+            a = rng.randint(1, 2)
+            bounds = DegreeBounds(a, a + rng.randint(0, 1))
+            n1 = rng.randint(1, 8)
+            parts = []
+            for k in (n1, rng.randint(1, 9 - n1)):
+                pool = all_graphs(k)
+                if i % 2:
+                    pool = [g for g in pool
+                            if min(g.degree(v) for v in range(k)) >= bounds.b] or pool
+                parts.append(rng.choice(pool))
+            whole = all_fractional_oracle(disjoint_union(*parts), bounds)
+            assert whole == all(all_fractional_oracle(part, bounds) for part in parts)
+            verdicts.add(whole)
+        assert verdicts == {True, False}
 
 
 class TestSubsetLoopOrder:

@@ -4,8 +4,10 @@ two brute-force oracles.
 The gadget route is itself cross-checked here against a direct exponential
 search over spanning subgraphs (gray-code enumeration of edge subsets), and
 the fractional oracle against a pure-Python max-flow on the double cover at
-every integer demand of the box, which shares no formula with it.  Those are
-the places the oracles earn their own trust.
+every integer demand of the box, which shares no formula with it, and
+against its own cut inequality at every corner of the box, which pins the
+worst demand it takes per cut.  Those are the places the oracles earn their
+own trust.
 """
 
 import itertools
@@ -27,7 +29,7 @@ from factorspec import (
 from factorspec import oracle
 from factorspec.oracle import perfect_matching, tutte_gadget
 from factorspec.extremal import build_hnb
-from bruteforce import has_fractional_factor, perfect_matching_bruteforce
+from bruteforce import corner_cut_minima, has_fractional_factor, perfect_matching_bruteforce
 from catalogs import all_graphs, complete, connected_graphs, disjoint_union, edges
 
 
@@ -288,6 +290,18 @@ class TestAllFractionalOracle:
     def test_budget(self):
         with pytest.raises(CapExceededError):
             all_fractional_oracle(from_edge_list(30, []), DegreeBounds(1, 2))
+
+    def test_worst_demand_per_cut_matches_every_corner(self):
+        # the oracle checks each cut only at b on X and a off it; the reference
+        # takes the least slack over all 2^n corners, cut by cut
+        verdicts = set()
+        for n in range(1, 8):
+            for g in all_graphs(n):
+                for a, b in [(1, 2), (1, 3), (2, 3), (2, 4)]:
+                    truth = bool((corner_cut_minima(g, a, b) >= 0).all())
+                    assert all_fractional_oracle(g, DegreeBounds(a, b)) == truth, (g, a, b)
+                    verdicts.add(truth)
+        assert verdicts == {True, False}
 
     def test_budget_counts_subset_corner_pairs(self):
         # 4^n (subset, corner) values: 4^9 fits the default budget, 4^10 does not

@@ -49,7 +49,7 @@ def test_every_export_has_a_caller():
 
 def test_deciders_import_nothing_from_the_oracle():
     # the decider-versus-oracle cross-check is independent only while the two
-    # share no code; the fractional oracle has a blocked matmul of its own
+    # share no code; the fractional oracle has a subset matrix of its own
     tree = ast.parse((SRC / "conditions.py").read_text())
     names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
              for alias in node.names}

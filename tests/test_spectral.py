@@ -198,6 +198,30 @@ class TestSpectralRadius:
         assert best.residual > 1e-300
         assert abs(best.rho - eigvalsh_rho(g)) < 1e-12
 
+    def test_direct_route_rejects_a_perturbed_eigenvector(self, monkeypatch):
+        # a top eigenvector off by 1e-8 leaves an l2 residual near 3.5e-8 on
+        # K_4: far over RHO_TOL, and under a tolerance 10^4 times looser
+        eigh = np.linalg.eigh
+
+        def perturbed(a):
+            w, v = eigh(a)
+            v = v.copy()
+            v[0, -1] += 1e-8
+            v[:, -1] /= np.linalg.norm(v[:, -1])
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        with pytest.raises(ConvergenceError, match="eigensolver residual exceeds tol=1e-10"):
+            spectral_radius(complete(4))
+
+    def test_iteration_residual_within_tol_above_the_direct_order(self):
+        # both components iterate; a looser stopping rule leaves residuals
+        # near 1e-7 and 5e-9, where these read about 1e-11
+        for g in (path_graph(100), build_hnb(600, 5)):
+            res = spectral_radius(g)
+            assert res.method == "dense-iteration"
+            assert res.residual <= spectral.RHO_TOL
+
     def test_nonconvergence_carries_best_estimate(self, monkeypatch):
         # a long path with a certifiable tol the iteration cannot reach
         # within its cap (the residual left at the cap is about 1e-10)
