@@ -35,6 +35,8 @@ d_{G-S}(v) - f(v) of every low part S and each block adds its high part's to
 it in one numpy pass.  One exact evaluation at S then gives the minimum and T.
 Both loops minimize integer keys that order by value, then by ``_rank``: ties go
 to the least (sorted first set, sorted second set) pair of tuples.
+``refuting_demand`` turns an [a, b] FAIL witness into one demand that has no
+factor, by Tutte's f-factor theorem, so a FAIL can be checked by one matching.
 Enumeration is exact: graphs above PAIR_ENUM_CAP (pair loop) or
 SUBSET_ENUM_CAP (subset loop) vertices raise ``CapExceededError`` rather than
 being sampled, and no caller can lift these limits.
@@ -351,3 +353,41 @@ def has_all_fractional_ab_factors(g: Graph, bounds: DegreeBounds) -> ConditionRe
     if bounds.a >= bounds.b:
         raise ValueError("the all-fractional-[a,b]-factors characterization requires a < b")
     return lu_all_fractional_gf(g, DegreeFunctions.constant(g.n, bounds.a, bounds.b))
+
+
+# -- certificates -------------------------------------------------------------------
+
+
+def refuting_demand(g: Graph, bounds: DegreeBounds, report: ConditionReport) -> tuple[int, ...]:
+    """A demand h in [a, b]^n with even total and no h-factor, from the FAIL
+    witness (D, S) of ``has_all_ab_factors``.
+
+    Tutte's f-factor theorem (Canad. J. Math. 4 (1952)): for h(V) even, g has
+    an h-factor iff h(D) - h(S) + sum_{x in S} d_{G-D}(x) - q_h(D, S) >= 0 for
+    all disjoint D, S, where q_h counts the components C of G - (D u S) with
+    h(C) + e(C, S) odd.  Take h = a on D, b on S and a on each component C,
+    and raise C's lowest vertex by 1 when h(C) + e(C, S) is even: every
+    component is then odd, so that value at (D, S) is the decider's delta,
+    at most -2.  If h(V) is odd, one vertex moves one step, which raises the
+    value by exactly 1: D's lowest vertex up, or else S's lowest down, or else
+    (D and S empty) vertex 0, the lowest of its component, toggled between a
+    and a + 1, which makes its component even.  So the value is at most -1.
+    """
+    if bounds.a >= bounds.b:
+        raise ValueError("the all-[a,b]-factors characterization requires a < b")
+    if report.verdict:
+        raise ValueError("only a failing report carries a refuting demand")
+    n, rows, a = g.n, g.rows, bounds.a
+    dmask, smask = mask_of(report.witness_s, n), mask_of(report.witness_t, n)
+    h = [bounds.b if smask >> v & 1 else a for v in range(n)]
+    for comp in component_masks(rows, n, dmask | smask):
+        if sum(a + (rows[v] & smask).bit_count() for v in iter_bits(comp)) % 2 == 0:
+            h[(comp & -comp).bit_length() - 1] += 1
+    if sum(h) % 2:
+        if dmask:
+            h[(dmask & -dmask).bit_length() - 1] += 1
+        elif smask:
+            h[(smask & -smask).bit_length() - 1] -= 1
+        else:
+            h[0] = a + 1 if h[0] == a else a
+    return tuple(h)

@@ -20,6 +20,7 @@ from .conditions import (
     DegreeBounds,
     has_all_ab_factors,
     has_all_fractional_ab_factors,
+    refuting_demand,
 )
 from .extremal import (
     g12_min_order,
@@ -119,15 +120,17 @@ def _mine_case(case: tuple[Graph, int, int, str]) -> Optional[float]:
     return spectral_radius(case[0]).rho
 
 
-def _oracle(g: Graph, a: int, b: int, mode: str) -> bool:
-    bounds = DegreeBounds(a, b)
-    if mode == "integer":
-        return all_ab_factors_oracle(g, bounds)
-    return all_fractional_oracle(g, bounds)
-
-
 def _suite_case(case: tuple[Graph, int, int, str]) -> tuple[bool, bool]:
-    return (_decide(*case), _oracle(*case))
+    """(decider verdict, oracle verdict).  An integer FAIL hands the oracle
+    its witness's refuting demand to try first, which changes only the
+    oracle's search order, not its verdict."""
+    g, a, b, mode = case
+    bounds = DegreeBounds(a, b)
+    if mode == "fractional":
+        return has_all_fractional_ab_factors(g, bounds).verdict, all_fractional_oracle(g, bounds)
+    report = has_all_ab_factors(g, bounds)
+    first = None if report.verdict else refuting_demand(g, bounds, report)
+    return report.verdict, all_ab_factors_oracle(g, bounds, first)
 
 
 # -- reports -------------------------------------------------------------------

@@ -4,7 +4,12 @@ condition deciders.
 Integer: h-factor existence is decided by the classical vertex-gadget
 reduction to perfect matching (general-graph matching via augmenting paths
 with blossom contraction), and ``all_ab_factors_oracle`` takes the
-conjunction over every admissible demand.  The gadget is built straight into
+conjunction over every admissible demand.  It can be handed one admissible
+demand to try first, such as the refuting demand that the decider's FAIL
+witness gives: one matching then confirms the FAIL.  The verdict cannot
+depend on that hint, because a False is still a demand of the box whose
+gadget has no perfect matching, found by this module's own matching, and a
+True still the whole enumeration.  The gadget is built straight into
 adjacency lists by one builder, which ``tutte_gadget`` also wraps.
 
 Fractional: ``all_fractional_oracle`` applies max-flow/min-cut on the
@@ -232,13 +237,30 @@ def has_h_factor(
     return True, frozenset(factor)
 
 
-def all_ab_factors_oracle(g: Graph, bounds: DegreeBounds) -> bool:
-    """Conjunction of h-factor existence over every even-total demand in [a, b]^n."""
+def all_ab_factors_oracle(
+    g: Graph, bounds: DegreeBounds, first: Optional[Sequence[int]] = None
+) -> bool:
+    """Conjunction of h-factor existence over every even-total demand in [a, b]^n.
+
+    ``first``, an admissible demand (n values in [a, b], even total), is
+    tried before the enumeration, and its failure is the verdict.  Only the
+    search order depends on it: a False is always a demand of the box with no
+    factor, and a True always the whole enumeration.  An inadmissible
+    ``first`` raises ValueError, since an odd or out-of-box demand could
+    refute a graph that has every [a, b]-factor.
+    """
     if g.n < 1:
         raise ValueError("oracle rejects the empty graph")
     demands = (bounds.b - bounds.a + 1) ** g.n
     if demands > DEMAND_BUDGET:
         raise CapExceededError(f"{demands} demand functions exceed budget {DEMAND_BUDGET}")
+    if first is not None:
+        if (len(first) != g.n or sum(first) % 2
+                or not all(bounds.a <= x <= bounds.b for x in first)):
+            raise ValueError(f"first demand {tuple(first)} is not admissible for "
+                             f"[{bounds.a}, {bounds.b}] on {g.n} vertices")
+        if not has_h_factor(g, first)[0]:
+            return False
     for h in enumerate_admissible(g.n, bounds):
         if not has_h_factor(g, h)[0]:
             return False

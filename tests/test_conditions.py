@@ -29,10 +29,12 @@ from factorspec import (
     to_graph6,
 )
 from factorspec import conditions
+from factorspec.conditions import refuting_demand
 from factorspec.extremal import build_hnb
 from bruteforce import (degrees_excluding, has_fractional_factor, pair_loop_reference,
                         pair_walk_count, q_count, subset_loop_reference)
-from catalogs import all_graphs, complete, connected_graphs, disjoint_union, edges
+from catalogs import (all_graphs, complete, connected_graphs, connected_up_to, disjoint_union,
+                      edges)
 
 
 def k(n):
@@ -415,6 +417,38 @@ def brute_force_minima(g, bounds, funcs):
         (0, min(fractional)),
         (0, min(lu)),
     ]
+
+
+class TestRefutingDemand:
+    """The demand a FAIL witness (D, S) gives, checked by Tutte's f-factor
+    theorem at (D, S) with the test's own degrees and component parities,
+    and by the oracle's matching."""
+
+    def test_every_catalog_fail_is_refuted(self):
+        fails = 0
+        for g in connected_up_to(7):
+            for a, b in [(1, 2), (1, 3), (2, 3), (2, 4)]:
+                bounds = DegreeBounds(a, b)
+                report = has_all_ab_factors(g, bounds)
+                if report.verdict:
+                    continue
+                fails += 1
+                h = refuting_demand(g, bounds, report)
+                case = (to_graph6(g), a, b, h)
+                assert len(h) == g.n and sum(h) % 2 == 0, case
+                assert all(a <= x <= b for x in h), case
+                d, s = sorted(report.witness_s), sorted(report.witness_t)
+                assert reeval_gf(g, DegreeFunctions(h, h), d, s) <= -1, case
+                assert not has_h_factor(g, h)[0], case
+        assert fails == 3800  # of 3984 cases: 184 pass
+
+    def test_rejects_a_pass_and_a_point_box(self):
+        report = has_all_ab_factors(k(4), DegreeBounds(1, 2))
+        assert report.verdict
+        with pytest.raises(ValueError, match="failing report"):
+            refuting_demand(k(4), DegreeBounds(1, 2), report)
+        with pytest.raises(ValueError, match="a < b"):
+            refuting_demand(k(4), DegreeBounds(2, 2), report)
 
 
 class TestGoldenReports:

@@ -1,22 +1,26 @@
 """Catalog streaming, mining, equivalence suites, verification sweeps, JSON."""
 
+import dataclasses
 import io
 import json
 import os
 
 import pytest
 
-from factorspec import harness
+from factorspec import harness, oracle
 from factorspec import (
     DegreeBounds,
     Graph6Error,
     build_hnb,
+    enumerate_admissible,
     parse_graph6,
     spectral_radius,
+    to_graph6,
 )
 from factorspec.conditions import has_all_fractional_ab_factors
 from factorspec.harness import (
     MineReport,
+    SuiteMismatch,
     SuiteReport,
     equivalence_suite,
     load_graph6_file,
@@ -170,6 +174,18 @@ def rho_from_quotient(n, b):
     return rho_hnb(n, b)
 
 
+def reported(verdict_of):
+    """A stand-in for ``harness.has_all_ab_factors``: the real report, with
+    its verdict replaced by ``verdict_of(real verdict)``."""
+    decide = harness.has_all_ab_factors
+
+    def wrong(g, bounds):
+        report = decide(g, bounds)
+        return dataclasses.replace(report, verdict=verdict_of(report.verdict))
+
+    return wrong
+
+
 class TestEquivalenceSuite:
     def test_integer_small_catalog_passes(self):
         graphs = [g for k in range(1, 6) for g in connected_graphs(k)]
@@ -190,14 +206,14 @@ class TestEquivalenceSuite:
     def test_corrupted_decider_is_caught(self, monkeypatch):
         from factorspec import has_all_ab_factors
 
-        decide = harness._decide
-        # deliberately wrong on every case
-        monkeypatch.setattr(harness, "_decide",
-                            lambda g, a, b, mode: not decide(g, a, b, mode))
+        # deliberately wrong on every case: a wrong FAIL carries the real
+        # witness, and its refuting demand has a factor
+        monkeypatch.setattr(harness, "has_all_ab_factors", reported(lambda verdict: not verdict))
         graphs = connected_graphs(4)
         report = equivalence_suite(graphs, [(1, 2)], "integer", nmax=4, workers=1)
         assert not report.passed
         assert len(report.mismatches) == report.cases_run == len(graphs)
+        assert {mism.decider for mism in report.mismatches} == {True, False}
         # every mismatch names its graph, and the oracle sides with the real decider
         for mism in report.mismatches:
             truth = has_all_ab_factors(parse_graph6(mism.graph6), DegreeBounds(mism.a, mism.b))
@@ -206,7 +222,7 @@ class TestEquivalenceSuite:
     def test_sweep_path_mismatch_names_its_graph(self, monkeypatch):
         from factorspec import has_all_ab_factors
 
-        monkeypatch.setattr(harness, "_decide", lambda g, a, b, mode: True)
+        monkeypatch.setattr(harness, "has_all_ab_factors", reported(lambda verdict: True))
         report = equivalence_suite(connected_graphs(4), [(1, 2), (2, 3)], "integer",
                                    nmax=4, workers=1)
         assert report.mismatches
@@ -214,6 +230,24 @@ class TestEquivalenceSuite:
             assert mism.decider and not mism.oracle
             g = parse_graph6(mism.graph6)
             assert not has_all_ab_factors(g, DegreeBounds(mism.a, mism.b)).verdict
+
+    def test_wrong_fail_on_a_passing_graph_falls_back_to_enumeration(self, monkeypatch):
+        from factorspec import has_all_ab_factors, has_h_factor
+        from factorspec.conditions import refuting_demand
+
+        monkeypatch.setattr(harness, "has_all_ab_factors", reported(lambda verdict: False))
+        tried = []
+        monkeypatch.setattr(oracle, "has_h_factor", lambda g, h: tried.append(tuple(h))
+                            or has_h_factor(g, h))
+        g, bounds = complete(5), DegreeBounds(1, 2)
+        wrong = dataclasses.replace(has_all_ab_factors(g, bounds), verdict=False)
+        first = refuting_demand(g, bounds, wrong)
+        assert has_h_factor(g, first)[0]
+        report = equivalence_suite([g], [(1, 2)], "integer", nmax=5, workers=1)
+        assert report.mismatches == [SuiteMismatch(to_graph6(g).decode("ascii"), 1, 2,
+                                                   decider=False, oracle=True)]
+        # the certificate first, then every admissible demand
+        assert tried == [first, *enumerate_admissible(5, bounds)]
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):

@@ -10,10 +10,13 @@ worst demand it takes per cut.  Those are the places the oracles earn their
 own trust.
 """
 
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factorspec import (
     CapExceededError,
@@ -23,6 +26,7 @@ from factorspec import (
     all_fractional_oracle,
     enumerate_admissible,
     from_edge_list,
+    has_all_ab_factors,
     has_h_factor,
     lu_all_fractional_gf,
 )
@@ -259,6 +263,39 @@ class TestAllAbOracle:
     def test_budget(self):
         with pytest.raises(CapExceededError):
             all_ab_factors_oracle(from_edge_list(30, []), DegreeBounds(1, 2))
+
+    def test_first_must_be_admissible(self):
+        # each of these would refute K_4, which has every [1, 2]- and [2, 3]-factor
+        for bounds, first in [
+            (DegreeBounds(1, 2), (1, 1, 1, 2)),  # odd total
+            (DegreeBounds(1, 2), (1, 1, 1, 3)),  # above b, within the degrees
+            (DegreeBounds(2, 3), (1, 2, 2, 3)),  # below a
+            (DegreeBounds(1, 2), (2, 2)),  # too short
+            (DegreeBounds(1, 2), (1, 1, 1, 1, 2)),  # too long
+        ]:
+            assert all_ab_factors_oracle(complete(4), bounds)
+            with pytest.raises(ValueError, match="not admissible"):
+                all_ab_factors_oracle(complete(4), bounds, first)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_first_changes_no_verdict(self, data):
+        passing = data.draw(st.booleans())
+        g, bounds = data.draw(st.sampled_from(_oracle_cases(passing)))
+        a, b = bounds.a, bounds.b
+        first = data.draw(st.lists(st.integers(a, b), min_size=g.n, max_size=g.n))
+        if sum(first) % 2:
+            first[0] += 1 if first[0] < b else -1
+        assert all_ab_factors_oracle(g, bounds, first) == all_ab_factors_oracle(g, bounds)
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_cases(passing):
+    """(graph, bounds) over the connected graphs of order <= 6 at four grids
+    whose decider verdict is ``passing``."""
+    return [(g, DegreeBounds(a, b)) for n in range(1, 7) for g in connected_graphs(n)
+            for a, b in [(1, 2), (1, 3), (2, 3), (2, 4)]
+            if has_all_ab_factors(g, DegreeBounds(a, b)).verdict == passing]
 
 
 class TestAllFractionalOracle:
