@@ -29,12 +29,14 @@ exactly when both of its bounds are at most the least value at its turn, and
 ``pairs_examined``, those pairs plus one for the seed, depends on this order;
 pairs at that value are still evaluated, so the minimum and the witness do
 not.  The subset loop only locates the least minimizer S: it evaluates all
-2^n subsets in blocks of 2^k (k = min(n, 12)) that share their bits above the
-k lowest vertices, where one int64 table per call holds the degree deficits
-d_{G-S}(v) - f(v) of every low part S and each block adds its high part's to
-it in one numpy pass.  One exact evaluation at S then gives the minimum and T.
-Both loops minimize integer keys that order by value, then by ``_rank``: ties go
-to the least (sorted first set, sorted second set) pair of tuples.
+2^n subsets in blocks of 2^k (k = min(n, 12)) that fix S to P on the n - k
+lowest vertices, where one int64 table lists the degree deficits
+d_{G-S}(v) - f(v) of every part X of S on the rest in sorted-tuple order and
+each block adds P's in one numpy pass.  As sorted(P u X) = sorted(P) +
+sorted(X), a block's first minimum is its least by ``_rank``, and the blocks
+compare by (value, rank), as the pair walk does by (value, rank(D), rank(S)):
+ties go to the least (sorted first set, sorted second set) pair of tuples.
+One exact evaluation at S then gives the minimum and T.
 ``refuting_demand`` turns an [a, b] FAIL witness into one demand that has no
 factor, by Tutte's f-factor theorem, so a FAIL can be checked by one matching.
 Enumeration is exact: graphs above PAIR_ENUM_CAP (pair loop) or
@@ -152,52 +154,43 @@ def _subset_value(g: Graph, x: Sequence[int], y: Sequence[int], smask: int) -> t
     return value, tmask
 
 
-def _subset_sums(columns: np.ndarray) -> np.ndarray:
-    """The m x 2^k matrix whose column i is the sum of the columns u of
-    ``columns`` (m x k) with bit u set in i, built by doubling: bit u adds
-    column u to the first 2^u columns to give the next 2^u."""
+def _preorder_sums(columns: np.ndarray) -> np.ndarray:
+    """The m x 2^k matrix whose column i is the sum of the columns of
+    ``columns`` (m x k) over the i-th subset of range(k) in sorted-tuple
+    order, built in place from the last column down: the subsets of
+    {u + 1, ...} fill the last ``half`` columns, and u joined to each of them
+    goes just before them, after the empty set."""
     m, k = columns.shape
-    sums = np.zeros((m, 1 << k), dtype=np.int64)
-    for u in range(k):
-        np.add(sums[:, :1 << u], columns[:, u, None], out=sums[:, 1 << u:2 << u])
+    top = 1 << k
+    sums = np.zeros((m, top), dtype=np.int64)
+    for u in range(k - 1, -1, -1):
+        half = top >> u + 1
+        np.add(sums[:, top - half:], columns[:, u, None],
+               out=sums[:, top - 2 * half + 1:top - half + 1])
     return sums
 
 
-def _subset_blocks(
-    rows: tuple[int, ...], x: Sequence[int], y: Sequence[int]
-) -> Iterator[tuple[int, np.ndarray]]:
-    """The subset functional's keys 2^(n + 1) * value + _rank(S, n) at every S,
-    one block at a time: (high, keys) with keys[i] the key of S = high | i,
-    for the 2^(n - k) masks ``high`` of the vertices above the k = min(n,
-    _BLOCK_BITS) lowest.  As 0 <= rank < 2^n, keys order by value, then by
-    rank, and no two are equal.  Needs 0 <= x(v), y(v) <= d(v) + 1 <= n, so
-    that ``lift`` exceeds every |d_{G-S}(v) - y(v)| and |value| <= n^2:
-    |key| < 2^(n + 1) * (n^2 + 1), no number here reaches 2^(n + 1) *
-    (n + 1)(n + 2), under 2^33 at n = 22, and int64 is exact."""
+def _blocks(rows: tuple[int, ...], x: Sequence[int], y: Sequence[int]
+            ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The subset functional at every S, one block at a time: (fixed, masks,
+    values) with values[i] its value at S = fixed | masks[i].  Needs
+    0 <= x(v), y(v) <= d(v) + 1, so the lift exceeds |d_{G-S}(v) - y(v)|."""
     n = len(rows)
-    k = min(n, _BLOCK_BITS)
-    top = 1 << n
-    scale = 2 * top  # min(scale * t, 0) = scale * min(t, 0), so the value scales
-    lift = 2 * n + 2  # added at each v in S, where the minimum below must give 0
+    m = n - min(n, _BLOCK_BITS)  # a block fixes S on the m lowest vertices
     adj = bit_matrix(rows)  # uint8, so ``weights`` below stays int64
-    rev = top >> np.arange(1, n + 1, dtype=np.int64)  # 2^(n - 1 - u): u's bit in r
-    # column u: what u joining S adds to scale * (d_{G-S}(v) - y(v)), lifted at
-    # v = u (rows v < n), to scale * x(S) + |S| - r (row n) and to r (row n + 1),
-    # where r is the mask of S reversed over n bits
-    weights = np.vstack((scale * (lift * np.eye(n, dtype=np.int64) - adj),
-                         scale * np.array(x, dtype=np.int64) + 1 - rev, rev))
-    low = _subset_sums(weights[:, :k])
-    low[:n] += scale * np.array([row.bit_count() - yv for row, yv in zip(rows, y)],
-                                dtype=np.int64)[:, None]
-    high = _subset_sums(weights[:, k:])
-    block = np.empty((n, 1 << k), dtype=np.int64)
-    for j in range(1 << (n - k)):
-        np.add(low[:n], high[:n, j, None], out=block)
+    # column u: what u joining S adds to d_{G-S}(v) - y(v), which starts at
+    # d(v) - y(v), lifted by n + 1 at v = u so that the minimum below gives 0
+    # there (rows v < n), to x(S) (row n) and to the mask of S (row n + 1)
+    weights = np.vstack(((n + 1) * np.eye(n, dtype=np.int64) - adj,
+                         np.array(x, dtype=np.int64), 1 << np.arange(n, dtype=np.int64)))
+    inner = _preorder_sums(weights[:, m:])
+    inner[:n] += (adj.sum(axis=1, dtype=np.int64) - np.array(y, dtype=np.int64))[:, None]
+    outer = _preorder_sums(weights[:, :m])
+    block = np.empty((n, inner.shape[1]), dtype=np.int64)
+    for j in range(1 << m):
+        np.add(inner[:n], outer[:n, j, None], out=block)
         np.minimum(block, 0, out=block)
-        # rank = 2^n + |S| - r - lowbit(r | 2^n): the high part's r holds the
-        # lowest bit in every block but the first, which has no high part
-        r = high[n + 1, j] or low[n + 1] | top
-        yield j << k, block.sum(axis=0) + (low[n] + (high[n, j] + top - (r & -r)))
+        yield int(outer[n + 1, j]), inner[n + 1], block.sum(axis=0) + (inner[n] + outer[n, j])
 
 
 def delta(g: Graph, bounds: DegreeBounds, s: Iterable[int], t: Iterable[int]) -> int:
@@ -325,27 +318,29 @@ def lu_all_fractional_gf(g: Graph, funcs: DegreeFunctions) -> ConditionReport:
     """All fractional (g, f)-factors: g(S) - f(T) + sum_{x in T} d_{G-S}(x) >= 0
     for every S, with T = {v not in S : d_{G-S}(v) < f(v)}.
 
-    The blocks only locate the minimizer S of least ``_rank`` (their least
-    key), and one exact evaluation at S reports the minimum and T.  They take
-    y(v) = f(v) and x(v) = g(v) + f(v) - y(v), each capped at d(v) + 1, so T
-    stays; v is over-capped when the cap lowers x(v).  On sets with no
-    over-capped vertex the capped functional exceeds the true one by the
-    constant sum(f - y).  A set that holds an over-capped v loses to the set
-    without v under both: moving v out lowers the value by at least d(v) + 1
-    (capped), or g(v) + max(0, f(v) - d(v)) > d(v) (true), and raises at most
-    d(v) other terms by 1 each.  So the minimizers agree, and as x, y <= d + 1
-    the keys stay exact in int64 however large g and f are.
+    The blocks only locate the minimizer S of least ``_rank``, and one exact
+    evaluation at S reports the minimum and T.  They take y(v) = f(v) and
+    x(v) = g(v) + f(v) - y(v), each capped at d(v) + 1, so T stays; v is
+    over-capped when the cap lowers x(v).  On sets with no over-capped vertex
+    the capped functional exceeds the true one by the constant sum(f - y).  A
+    set that holds an over-capped v loses to the set without v under both:
+    moving v out lowers the value by at least d(v) + 1 (capped), or
+    g(v) + max(0, f(v) - d(v)) > d(v) (true), and raises at most d(v) other
+    terms by 1 each.  So the minimizers agree, and the caps keep x and y, and
+    so every block entry, inside int64 however large g and f are.
     """
     _guard(g, funcs, SUBSET_ENUM_CAP, "2^n")
     cap = [row.bit_count() + 1 for row in g.rows]
     y = [min(fv, c) for fv, c in zip(funcs.f, cap)]
     x = [min(gv + fv - yv, c) for gv, fv, yv, c in zip(funcs.g, funcs.f, y, cap)]
-    best = ((sum(x) + 1) << g.n + 1, 0)  # above every key of the capped functional
-    for high, keys in _subset_blocks(g.rows, x, y):
-        i = int(keys.argmin())
-        best = min(best, (int(keys[i]), high | i))
-    value, tmask = _subset_value(g, funcs.g, funcs.f, best[1])
-    return _report(value, best[1], tmask, 0, 1 << g.n)
+    least = []
+    for fixed, masks, values in _blocks(g.rows, x, y):
+        i = int(values.argmin())  # the first is the block's least-rank minimizer
+        s = fixed | int(masks[i])
+        least.append((int(values[i]), _rank(s, g.n), s))
+    smask = min(least)[2]
+    value, tmask = _subset_value(g, funcs.g, funcs.f, smask)
+    return _report(value, smask, tmask, 0, 1 << g.n)
 
 
 def has_all_fractional_ab_factors(g: Graph, bounds: DegreeBounds) -> ConditionReport:

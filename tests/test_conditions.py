@@ -10,6 +10,7 @@ import itertools
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from factorspec import (
@@ -468,7 +469,7 @@ class TestGoldenReports:
     STAR_12 = from_edge_list(13, [(0, i) for i in range(1, 13)])
     STAR_13 = from_edge_list(14, [(0, i) for i in range(1, 14)])
     EDGELESS_16 = from_edge_list(16, [])  # at PAIR_ENUM_CAP; the seed, then one pair of D = {}
-    GNP_14, GNP_14_FUNCS = gnp_14_case()  # its witness S holds 12 and 13, above the first block
+    GNP_14, GNP_14_FUNCS = gnp_14_case()  # its witness S holds 0: not in the first block
 
     @pytest.mark.parametrize(
         "decide, graph, arg, expected",
@@ -646,6 +647,12 @@ class TestSubsetLoopOrder:
                       for a, b in ((1, 2), (2, 3), (3, 3), (1, 12))]
         # its least witness lies in the second block, which ties the first
         cases.append((random_graph(random.Random(9), 13, 0.2), DegreeFunctions.constant(13, 1, 2)))
+        # seeded G(14, p) draws at [1, 3] whose least witness holds vertex 0
+        # while a minimizer of lower mask, without it, lies in another block:
+        # the blocks compare by rank, not by mask
+        cases += [(parse_graph6(g6), DegreeFunctions.constant(14, 1, 3))
+                  for g6 in ("MO`_BIiCaOA?__?A_", "MC_A_@I?AD?O?G?G?", r"MzS_aGv}\O|_cBEM_",
+                             "MCAB?Bc}_cXQCD___")]
         for m in (2, 3, 5, 7):
             pairs = itertools.combinations(range(2 * m), 2)
             cocktail = from_edge_list(2 * m, [(u, v) for u, v in pairs if v != u + m])
@@ -664,11 +671,20 @@ class TestRank:
             assert [conditions._rank(m, n) for m in order] == list(range(1 << n)), n
 
 
-class TestSubsetKeys:
-    def test_key_is_scaled_value_plus_rank(self):
+class TestSubsetBlocks:
+    def test_preorder_of_the_vertex_bit_row(self):
+        # summed over the vertex-bit row, column i is the mask of the i-th
+        # subset in sorted-tuple order: ranks 0, 1, ..., 2^k - 1 in turn
+        for k in range(1, conditions._BLOCK_BITS + 1):
+            bits = np.array([[1 << u for u in range(k)]], dtype=np.int64)
+            masks = conditions._preorder_sums(bits)[0].tolist()
+            assert [conditions._rank(m, k) for m in masks] == list(range(1 << k)), k
+
+    def test_values_are_the_capped_functional(self):
         # n = 13 and 14 span 2 and 4 blocks; the capped functional, with the
         # decider's caps y = min(f, d + 1) and x = min(g + f - y, d + 1), is
-        # evaluated here one subset at a time from the rows
+        # evaluated here one subset at a time from the rows, and each block
+        # lists its subsets by ascending rank
         rng = random.Random(61)
         for n in (13, 14):
             g = random_graph(rng, n, 0.4)
@@ -678,26 +694,16 @@ class TestSubsetKeys:
             y = [min(fv, c) for fv, c in zip(ffun, cap)]
             x = [min(gv + fv - yv, c) for gv, fv, yv, c in zip(gfun, ffun, y, cap)]
             checked = []
-            for high, keys in conditions._subset_blocks(g.rows, x, y):
-                for s, key in enumerate(keys.tolist(), start=high):
+            for fixed, masks, values in conditions._blocks(g.rows, x, y):
+                masks = [fixed | s for s in masks.tolist()]
+                ranks = [conditions._rank(s, n) for s in masks]
+                assert ranks == sorted(ranks), n
+                for s, got in zip(masks, values.tolist()):
                     value = sum(x[v] if s >> v & 1 else
                                 min((g.rows[v] & ~s).bit_count() - y[v], 0) for v in range(n))
-                    assert key == (value << n + 1) + conditions._rank(s, n), (n, s)
-                    checked.append(s)
-            assert checked == list(range(1 << n))
-
-    def test_int64_headroom(self):
-        # x = y = d + 1 is the largest the caps admit; S = V of K_22 attains
-        # value n^2 at rank n, so the bound is tight up to the rank
-        n = conditions.SUBSET_ENUM_CAP
-        bound = (n * n + 1) << n + 1  # the bound on |key| in the docstring
-        for g, largest in ((complete(n), ((n * n) << n + 1) + n),
-                           (from_edge_list(n, []), (n << n + 1) + n)):
-            x = [row.bit_count() + 1 for row in g.rows]
-            sizes = [max(int(keys.max()), -int(keys.min()))
-                     for _, keys in conditions._subset_blocks(g.rows, x, x)]
-            assert len(sizes) == 1 << n - conditions._BLOCK_BITS
-            assert max(sizes) == largest < bound
+                    assert got == value, (n, s)
+                checked += masks
+            assert sorted(checked) == list(range(1 << n))
 
 
 class TestSubsetMemory:
