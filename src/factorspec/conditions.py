@@ -11,11 +11,11 @@ witness.  Two functionals cover the four deciders:
   over subsets S, with T = {v not in S : d_{G-S}(v) < f(v)}.
 
 The [a, b] deciders are these with g = a < b = f, where q is the number of
-components.  The pair walk starts, from order SEED_MIN_ORDER up, at a seed:
-the subset functional is the pair functional without q, so the least
-minimizer (S, T) of ``lu_all_fractional_gf`` is a pair (D, S), and its value
-there, q included, is the first least value.  Then it takes D by ascending
-size, then lexicographically, and walks the subsets S of V - D depth first,
+components.  The pair walk starts at a seed: the subset functional is the
+pair functional without q, so the least minimizer (S, T) of
+``lu_all_fractional_gf`` is a pair (D, S), and its value there, q included,
+is the first least value.  Then it takes D by ascending size, then
+lexicographically, and walks the subsets S of V - D depth first,
 deciding the vertices from the highest down, the include branch first, so the
 leaves come in descending numeric order of S.  Two bounds, each modular in S,
 hold at every pair:
@@ -56,7 +56,6 @@ from .graph import Graph, bit_matrix, component_masks, iter_bits, mask_of, set_o
 
 PAIR_ENUM_CAP = 16
 SUBSET_ENUM_CAP = 22
-SEED_MIN_ORDER = 7  # the pair walk seeds from order 7; at 6 the seed costs more than it saves
 _BLOCK_BITS = 12  # a block's n x 2^12 int64 table is 720 KB at n = SUBSET_ENUM_CAP
 
 
@@ -249,26 +248,22 @@ def has_all_gf_factors(g: Graph, funcs: DegreeFunctions) -> ConditionReport:
 
     The verdict is the characterization's, which reports false when the box
     admits no even-total demand at all (g = f with odd total), rather than
-    the vacuous truth of the empty quantifier.  The pair walk runs in the
-    order of the module docstring; each branch carries the least first and
-    second bound over its leaves.
+    the vacuous truth of the empty quantifier.  The pair walk starts at the
+    seed and runs in the order of the module docstring; each branch carries
+    the least first and second bound over its leaves.
     """
     _guard(g, funcs, PAIR_ENUM_CAP, "3^n")
     lo, hi = funcs.g, funcs.f
     n, rows = g.n, g.rows
     strict = sum(1 << v for v in range(n) if lo[v] < hi[v])  # the v with g(v) < f(v)
     full = (1 << n) - 1
-    if n >= SEED_MIN_ORDER:
-        # the subset functional is the pair functional without q, so its
-        # witness (S, T) is a pair (D, S) and its value minus q a real value
-        seed = lu_all_fractional_gf(g, funcs)
-        dmask, smask = mask_of(seed.witness_s, n), mask_of(seed.witness_t, n)
-        value = seed.min_value - _count_q(g, dmask | smask, smask, lo, strict)
-        best = (value, _rank(dmask, n), _rank(smask, n), dmask, smask)
-        examined = 1
-    else:
-        best = (sum(lo) + n * n, 0, 0, 0, 0)  # a value above every value of the functional
-        examined = 0
+    # the subset functional is the pair functional without q, so its
+    # witness (S, T) is a pair (D, S) and its value minus q a real value
+    seed = lu_all_fractional_gf(g, funcs)
+    dmask, smask = mask_of(seed.witness_s, n), mask_of(seed.witness_t, n)
+    value = seed.min_value - _count_q(g, dmask | smask, smask, lo, strict)
+    best = (value, _rank(dmask, n), _rank(smask, n), dmask, smask)
+    examined = 1
     high_first = range(n - 1, -1, -1)
     for k in range(n + 1):
         for combo in combinations(range(n), k):

@@ -390,7 +390,7 @@ def verify_k1_join_bound(ns: Sequence[int]) -> VerifyReport:
 
 # -- JSON serialization ---------------------------------------------------------
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def _round12(value):

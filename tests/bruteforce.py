@@ -193,21 +193,17 @@ def pair_loop_reference(
 
 
 def pair_walk_count(g: Graph, funcs: DegreeFunctions) -> int:
-    """``pairs_examined`` of ``has_all_gf_factors``, one pair at a time.  From
-    order 7 up the seed counts one, and its value, that of
-    ``subset_loop_reference``'s minimum less q at its (S, T) taken as the pair
-    (D, S), is the first least value.  Then every pair, in the order of
-    ``pair_loop_reference``, counts and is evaluated when both of its bounds
-    are <= the least value so far:
+    """``pairs_examined`` of ``has_all_gf_factors``, one pair at a time.  The
+    seed counts one, and its value, that of ``subset_loop_reference``'s
+    minimum less q at its (S, T) taken as the pair (D, S), is the first least
+    value.  Then every pair, in the order of ``pair_loop_reference``, counts
+    and is evaluated when both of its bounds are <= the least value so far:
     g(D) - f(S) + sum_{x in S} d_{G-D}(x) - |V - D - S| (q <= |V - D - S|) and
     g(D) - c(G - D) + |S| - f(S) (deleting x adds at most d(x) - 1 components)."""
     n = g.n
-    best = None
-    examined = 0
-    if n >= 7:
-        _, value, d, s, _ = subset_loop_reference(g, funcs)
-        best = value - q_count(g, d, s, funcs)
-        examined = 1
+    _, value, d, s, _ = subset_loop_reference(g, funcs)
+    best = value - q_count(g, d, s, funcs)
+    examined = 1
     count_d = None
     for d, s, g_d, degrees in _pairs_in_order(g, funcs):
         if count_d != d:
@@ -215,11 +211,11 @@ def pair_walk_count(g: Graph, funcs: DegreeFunctions) -> int:
         f_s = sum(funcs.f[x] for x in s)
         base = g_d + sum(degrees[x] for x in s) - f_s
         bounds = (base - (n - len(d) - len(s)), g_d - c + len(s) - f_s)
-        if best is not None and max(bounds) > best:
+        if max(bounds) > best:
             continue
         examined += 1
         value = base - q_count(g, d, s, funcs)
-        best = value if best is None else min(best, value)
+        best = min(best, value)
     return examined
 
 

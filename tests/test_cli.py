@@ -1,5 +1,6 @@
 """CLI surface: subcommand behavior, exit-code contract, JSON output."""
 
+import dataclasses
 import json
 import re
 import shlex
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from factorspec import build_hnb, conditions, from_edge_list, graph, spectral, to_graph6
+from factorspec import build_g1, build_hnb, conditions, from_edge_list, graph, spectral, to_graph6
 from factorspec.cli import build_parser, main
 from catalogs import CACHE_DIR, complete, connected_graphs
 
@@ -37,7 +38,7 @@ class TestCheck:
                            "--mode", "fractional", "--json")
         data = json.loads(out)
         assert code == 1
-        assert data["schema"] == 3
+        assert data["schema"] == 4
         assert data["verdict"] is False
         assert data["min_value"] == -1
 
@@ -175,6 +176,16 @@ class TestConstruct:
 
         g = parse_graph6(out.strip())
         assert [g.degree(v) for v in range(6)] == [2, 5, 5, 4, 4, 4]
+
+    def test_g1_json(self, capsys):
+        from factorspec import parse_graph6
+
+        code, out, err = run(capsys, "construct", "g1", "--a", "1", "--b", "2", "--n", "16",
+                             "--json")
+        data = json.loads(out)
+        assert (code, err) == (0, "")
+        assert parse_graph6(data["graph6"]).rows == build_g1(1, 2, 16).rows
+        assert (data["n"], data["edges"]) == (16, build_g1(1, 2, 16).edge_count())
 
     def test_g1_needs_a(self, capsys):
         code, _, err = run(capsys, "construct", "g1", "--n", "31", "--b", "2")
@@ -326,7 +337,7 @@ class TestVerify:
         code, out, err = run(capsys, "verify", *argv, "--json")
         assert (code, err) == (0, "")
         assert out == (f'{{"cases_run": {cases}, "failures": [], "name": "{name}", '
-                       '"schema": 3}\n')
+                       '"schema": 4}\n')
 
     def test_hong_with_catalog(self, capsys, tmp_path):
         path = tmp_path / "cat.g6"
@@ -337,7 +348,7 @@ class TestVerify:
     def test_json(self, capsys):
         code, out, _ = run(capsys, "verify", "lemma24", "--nmax", "10", "--json")
         data = json.loads(out)
-        assert data["schema"] == 3 and data["failures"] == []
+        assert data["schema"] == 4 and data["failures"] == []
 
 
 class TestMineAndSuite:
@@ -375,6 +386,29 @@ class TestMineAndSuite:
                            "--nmax", "5", "--grid", "1,2", "--workers", "1", "--json")
         data = json.loads(out)
         assert code == 0 and data["mismatches"] == []
+
+    def test_suite_prints_its_mismatches(self, capsys, monkeypatch, tmp_path):
+        from factorspec import harness
+
+        # a decider that inverts every verdict: K_3 and K_4 pass, P_3 fails
+        decide = harness.has_all_ab_factors
+
+        def inverted(g, bounds):
+            report = decide(g, bounds)
+            return dataclasses.replace(report, verdict=not report.verdict)
+
+        monkeypatch.setattr(harness, "has_all_ab_factors", inverted)
+        path = tmp_path / "three.g6"
+        path.write_text("Bw\nBg\nC~\n")
+        code, out, err = run(capsys, "suite", "--input", str(path), "--mode", "integer",
+                             "--grid", "1,2", "--workers", "1")
+        lines = out.splitlines()
+        assert (code, err, len(lines)) == (1, "", 4)
+        assert re.fullmatch(r"integer-equivalence: FAIL \(3 cases, 3 mismatches, \d+\.\d\ds\)",
+                            lines[0])
+        assert lines[1:] == ["  mismatch: Bw (a,b)=(1,2) decider=False oracle=True",
+                             "  mismatch: Bg (a,b)=(1,2) decider=True oracle=False",
+                             "  mismatch: C~ (a,b)=(1,2) decider=False oracle=True"]
 
     def test_suite_zero_cases_is_a_usage_error(self, capsys, tmp_path):
         path = tmp_path / "k3.g6"
@@ -548,7 +582,9 @@ class TestParseErrors:
         ("3\n0 9\n", "line 2: edge (0, 9) out of range for n=3"),
         ("3\n1 1\n", "line 2: loop (1, 1) not allowed in a simple graph"),
         ("-1\n", "line 1: order -1 is negative"),
-    ], ids=["three-values", "non-integer", "order", "out-of-range", "loop", "negative-order"])
+        ("# comments only\n\n", "is empty"),
+    ], ids=["three-values", "non-integer", "order", "out-of-range", "loop", "negative-order",
+            "no-order"])
     def test_edge_file(self, capsys, tmp_path, text, message):
         path = tmp_path / "bad.edges"
         path.write_text(text)
@@ -563,6 +599,14 @@ class TestParseErrors:
                              "--g", str(bad), "--f", str(good))
         assert (code, out) == (2, "")
         assert err == f"error: {bad} line 2: 'x' is not an integer\n"
+
+    def test_vertex_function_of_the_wrong_length(self, capsys, tmp_path):
+        good, short = tmp_path / "f.txt", tmp_path / "g.txt"
+        good.write_text("2 2 2\n")
+        short.write_text("1\n1\n")
+        code, out, err = run(capsys, "check", "--g6", "Bw", "--mode", "gf",
+                             "--g", str(short), "--f", str(good))
+        assert (code, out, err) == (2, "", f"error: {short} prescribes 2 values for 3 vertices\n")
 
     def test_hnb_needs_two_values(self, capsys):
         assert run(capsys, "rho", "--hnb", "5") == (2, "", "error: --hnb: expected N,B, got '5'\n")

@@ -97,6 +97,11 @@ class TestDelta:
         with pytest.raises(ValueError):
             delta(k(3), DegreeBounds(1, 2), (0,), (0, 1))
 
+    def test_vertex_out_of_range_rejected(self):
+        for s, t, v in [((3,), (), 3), ((), (0, 5), 5), ((-1,), (), -1)]:
+            with pytest.raises(ValueError, match=f"^vertex {v} out of range for graph on 3 "):
+                delta(k(3), DegreeBounds(1, 2), s, t)
+
     def test_hand_value(self):
         # P_4, a=1, b=2, S={1}, T={3}: 1 - 2 + d_{G-S}(3) - q({0},{2}) = 1 - 2 + 1 - 2
         p4 = from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
@@ -115,6 +120,11 @@ class TestTheta:
     def test_all_degrees_large(self):
         value, tset = theta(k(5), DegreeBounds(1, 2), ())
         assert value == 0 and tset == frozenset()
+
+    def test_vertex_out_of_range_rejected(self):
+        for s, v in [((0, 3), 3), ((-2,), -2)]:
+            with pytest.raises(ValueError, match=f"^vertex {v} out of range for graph on 3 "):
+                theta(k(3), DegreeBounds(1, 2), s)
 
     def test_empty_t_means_nonnegative(self):
         # T empty forces theta = a|S| >= 0
@@ -477,8 +487,8 @@ class TestGoldenReports:
             (has_all_ab_factors, build_hnb(10, 3), DegreeBounds(2, 3),
              (False, -2, [], [0], 85)),
             (has_all_ab_factors, disjoint_union(complete(2), complete(2)), DegreeBounds(1, 2),
-             (False, -4, [], [0, 1, 2], 11)),
-            (has_all_gf_factors, EQYW, EQYW_FUNCS, (False, -13, [4], [0, 1, 2, 3], 9)),
+             (False, -4, [], [0, 1, 2], 12)),
+            (has_all_gf_factors, EQYW, EQYW_FUNCS, (False, -13, [4], [0, 1, 2, 3], 3)),
             (has_all_gf_factors, PETERSEN, DegreeFunctions.constant(10, 1, 1),
              (True, 0, [], [], 1277)),  # g = f: threshold 0 and q by parity alone
             (has_all_gf_factors, PETERSEN, PETERSEN_FUNCS,
@@ -515,7 +525,7 @@ class TestPairLoopOrder:
     def test_reports_match_reference(self):
         # g = f takes the threshold-0 path and q's parity path; the per-D
         # skip fires on almost every D of an edgeless graph and on few of a
-        # complete graph's; from n = 7 the walk starts at the seed
+        # complete graph's
         rng = random.Random(97)
         cases = []
         for n in (5, 6, 7, 8, 9, 10):
@@ -551,7 +561,7 @@ class TestAdditivity:
         for kind in ("[1,2]", "[2,3]", "mixed"):
             for _ in range(6):
                 n1 = rng.randint(4, 8)
-                n2 = rng.randint(max(3, 7 - n1), 12 - n1)  # 7 <= n <= 12: the union is seeded
+                n2 = rng.randint(max(3, 7 - n1), 12 - n1)  # 7 <= n <= 12
                 parts = [rng.choice(all_graphs(n1)), rng.choice(all_graphs(n2))]
                 n = n1 + n2
                 if kind == "mixed":

@@ -129,6 +129,12 @@ class TestIsHnb:
         for n, b in [(6, 3), (9, 2), (9, 8)]:
             assert is_hnb(build_hnb(n, b), b)
 
+    def test_order_below_three(self):
+        # K_2 has a vertex of degree b - 1 = 1 whose removal leaves K_1
+        for g in (complete(0), complete(1), complete(2)):
+            for b in (1, 2, 3):
+                assert not is_hnb(g, b)
+
     def test_negatives(self):
         assert not is_hnb(complete(6), 3)
         assert not is_hnb(build_hnb(6, 3), 4)
@@ -169,6 +175,18 @@ class TestG1G2:
         assert g.n == 11
         with pytest.raises(ValueError):
             build_g2(b, 4 * b + 2)
+
+    def test_a_above_b_rejected(self):
+        for size in (g1_join_size, g12_min_order):
+            with pytest.raises(ValueError, match="^need 1 <= a <= b, got a=3, b=2$"):
+                size(3, 2)
+            with pytest.raises(ValueError, match="^need 1 <= a <= b, got a=0, b=2$"):
+                size(0, 2)
+
+    def test_g2_needs_positive_b(self):
+        for b in (0, -1):
+            with pytest.raises(ValueError, match=f"^b must be positive, got {b}$"):
+                build_g2(b, 12)
 
     def test_min_order_values(self):
         assert g12_min_order(1, 1) == 16

@@ -73,6 +73,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             from_edge_list(3, [(1, 1)])
 
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="^vertex count must be nonnegative$"):
+            Graph(-1, ())
+
+    def test_rows_length_must_equal_order(self):
+        for n, rows in [(2, (0,)), (1, (0, 0)), (0, (0,))]:
+            with pytest.raises(ValueError, match="^rows length must equal vertex count$"):
+                Graph(n, rows)
+
     def test_asymmetric_rows_rejected(self):
         with pytest.raises(ValueError, match=r"^adjacency not symmetric at \(0, 1\)$"):
             Graph(2, (0b10, 0b00))
@@ -200,6 +209,19 @@ class TestGraph6:
         assert len(_encode_size(258048)) == 8  # 4-byte form would collide with the marker
         with pytest.raises(Graph6Error):
             _encode_size(1 << 36)
+
+    @pytest.mark.parametrize("record, message", [
+        (bytes([62]), "invalid size byte 62"),
+        (bytes([127]) + b"?" * 336, "invalid size byte 127"),  # a body for 64 vertices
+        (bytes([126, 126, 63, 63, 63]), "truncated 8-byte size field"),
+        (bytes([126, 63, 63]), "truncated 4-byte size field"),
+        (bytes([126]), "truncated 4-byte size field"),
+        (bytes([126, 63, 20, 63]), "invalid size byte 20"),
+        (bytes([126, 126, 63, 63, 63, 63, 200, 63]), "invalid size byte 200"),
+    ], ids=["below", "above", "short-8", "short-4", "marker-only", "in-4", "in-8"])
+    def test_malformed_size_field(self, record, message):
+        with pytest.raises(Graph6Error, match=f"^{message}$"):
+            parse_graph6(record)
 
     def test_trailing_garbage(self):
         with pytest.raises(Graph6Error):

@@ -117,6 +117,11 @@ class TestTutteGadget:
         with pytest.raises(ValueError):
             tutte_gadget(complete(3), (0, 1, 1))
 
+    def test_demand_of_the_wrong_length_rejected(self):
+        for h in [(1, 1), (1, 1, 1, 1)]:
+            with pytest.raises(ValueError, match=f"^demand covers {len(h)} vertices, graph has 3$"):
+                tutte_gadget(complete(3), h)
+
     def test_public_gadget_is_the_list_builder(self):
         rng = random.Random(66)
         checked = 0
@@ -203,6 +208,16 @@ class TestHasHFactor:
     def test_demand_above_degree(self):
         assert has_h_factor(complete(3), (3, 1, 1)) == (False, None)
 
+    def test_demand_of_the_wrong_length_rejected(self):
+        for h in [(1, 1, 1), (1, 1, 1, 1, 1)]:
+            with pytest.raises(ValueError, match=f"^demand covers {len(h)} vertices, graph has 4$"):
+                has_h_factor(complete(4), h)
+
+    def test_nonpositive_demand_rejected(self):
+        for h in [(1, 0, 1, 1), (2, 2, 2, -1)]:  # each at most the degree 3
+            with pytest.raises(ValueError, match="^demands must be positive$"):
+                has_h_factor(complete(4), h)
+
     def test_recovered_factor_degrees(self):
         rng = random.Random(63)
         for _ in range(80):
@@ -263,6 +278,10 @@ class TestAllAbOracle:
     def test_budget(self):
         with pytest.raises(CapExceededError):
             all_ab_factors_oracle(from_edge_list(30, []), DegreeBounds(1, 2))
+
+    def test_empty_graph_rejected(self):
+        with pytest.raises(ValueError, match="^oracle rejects the empty graph$"):
+            all_ab_factors_oracle(complete(0), DegreeBounds(1, 2))
 
     def test_first_must_be_admissible(self):
         # each of these would refute K_4, which has every [1, 2]- and [2, 3]-factor
@@ -327,6 +346,10 @@ class TestAllFractionalOracle:
     def test_budget(self):
         with pytest.raises(CapExceededError):
             all_fractional_oracle(from_edge_list(30, []), DegreeBounds(1, 2))
+
+    def test_empty_graph_rejected(self):
+        with pytest.raises(ValueError, match="^oracle rejects the empty graph$"):
+            all_fractional_oracle(complete(0), DegreeBounds(1, 2))
 
     def test_worst_demand_per_cut_matches_every_corner(self):
         # the oracle checks each cut only at b on X and a off it; the reference
