@@ -28,17 +28,25 @@ terms still open, exceeds the least value so far.  So a pair is evaluated
 exactly when both of its bounds are at most the least value at its turn, and
 ``pairs_examined``, those pairs plus one for the seed, depends on this order;
 pairs at that value are still evaluated, so the minimum and the witness do
-not.  The subset loop only locates the least minimizer S: it evaluates all
-2^n subsets in blocks of 2^k (k = min(n, 12)) that fix S to P on the n - k
-lowest vertices, where one int64 table lists the degree deficits
-d_{G-S}(v) - f(v) of every part X of S on the rest in sorted-tuple order and
-each block adds P's in one numpy pass.  As sorted(P u X) = sorted(P) +
+not.  The least first bound over the S of a D,
+g(D) - |V - D| + sum_{v not in D} min(0, d_{G-D}(v) - f(v) + 1), is the
+subset functional at x = g + 1 and y = f - 1, less n, so one more pass of
+the subset blocks sieves every D before the loop: a D whose least first
+bound exceeds the seed's value is never set up, as the loop would skip it at
+its first test.  With ``verdict_first`` the walk needs only the sign: the
+cut and the sieve take min(least value, threshold - 1), and the first pair
+below the threshold ends the walk.  The subset loop only locates the least
+minimizer S: it evaluates all 2^n subsets in blocks of 2^k (k = min(n, 12))
+that fix S to P on the n - k lowest vertices, where one int64 table lists
+the degree deficits d_{G-S}(v) - f(v) of every part X of S on the rest in
+sorted-tuple order and each block adds P's in one numpy pass.  As sorted(P u X) = sorted(P) +
 sorted(X), a block's first minimum is its least by ``_rank``, and the blocks
 compare by (value, rank), as the pair walk does by (value, rank(D), rank(S)):
 ties go to the least (sorted first set, sorted second set) pair of tuples.
 One exact evaluation at S then gives the minimum and T.
-``refuting_demand`` turns an [a, b] FAIL witness into one demand that has no
-factor, by Tutte's f-factor theorem, so a FAIL can be checked by one matching.
+``refuting_demand`` turns an [a, b] FAIL witness, least or not, into one
+demand that has no factor, by Tutte's f-factor theorem, so a FAIL can be
+checked by one matching.
 Enumeration is exact: graphs above PAIR_ENUM_CAP (pair loop) or
 SUBSET_ENUM_CAP (subset loop) vertices raise ``CapExceededError`` rather than
 being sampled, and no caller can lift these limits.
@@ -106,7 +114,10 @@ class ConditionReport:
 
     ``witness_s``/``witness_t`` are the characterization's first and second
     set (D and S for the pair functional; S and the derived T for the subset
-    functional).
+    functional).  Under ``verdict_first`` (pair functional) the walk stops at
+    the first pair below the threshold, so ``min_value`` is the value at the
+    witness, not the minimum, and ``pairs_examined`` counts what the shorter
+    walk evaluated.
     """
 
     verdict: bool
@@ -239,10 +250,41 @@ def _report(value: int, smask: int, tmask: int, threshold: int, examined: int) -
     return ConditionReport(value >= threshold, value, set_of(smask), set_of(tmask), examined)
 
 
+def _capped(g: Graph, lo: Sequence[int], hi: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The weights (x, y) for ``_blocks`` of the subset functional at x = lo,
+    y = hi: y = hi and x = lo + hi - y, each capped at d(v) + 1 (see
+    ``lu_all_fractional_gf``)."""
+    cap = [row.bit_count() + 1 for row in g.rows]
+    y = [min(fv, c) for fv, c in zip(hi, cap)]
+    return [min(gv + fv - yv, c) for gv, fv, yv, c in zip(lo, hi, y, cap)], y
+
+
+def _sieve(g: Graph, funcs: DegreeFunctions, bound: int) -> list[bool]:
+    """keep[D] for every mask D, false only when the pair walk's first bound
+    low1(D) = g(D) - |V - D| + sum_{v not in D} min(0, d_{G-D}(v) - f(v) + 1)
+    exceeds ``bound``: low1 is the subset functional at x = g + 1, y = f - 1,
+    less n, so one ``_blocks`` pass gives every D.  Capping y at d(v) + 1 and
+    folding the excess into x raises every value by sum(f - 1 - y); capping x
+    only lowers a value, so the sieve keeps every D the bound admits.
+
+    ``bound`` is the seed's value, at least -f(V) - n and at most the subset
+    functional at S = {}, -sum_{f(v) > d(v)} (f(v) - d(v)); or it is -1 or
+    -2 and below that value.  Either way the limit lies in [-2m - 2n, n],
+    inside int64 however large g and f are."""
+    n = g.n
+    x, y = _capped(g, [gv + 1 for gv in funcs.g], [fv - 1 for fv in funcs.f])
+    limit = bound + sum(funcs.f) - sum(y)
+    keep = np.empty(1 << n, dtype=bool)
+    for fixed, masks, values in _blocks(g.rows, x, y):
+        keep[masks + fixed] = values <= limit
+    return keep.tolist()
+
+
 # -- the four deciders --------------------------------------------------------------
 
 
-def has_all_gf_factors(g: Graph, funcs: DegreeFunctions) -> ConditionReport:
+def has_all_gf_factors(g: Graph, funcs: DegreeFunctions, *,
+                       verdict_first: bool = False) -> ConditionReport:
     """All-(g, f)-factors: g(D) - f(S) + sum_{x in S} d_{G-D}(x) - q >= -1
     (0 when g = f pointwise) over all disjoint D, S.
 
@@ -250,11 +292,16 @@ def has_all_gf_factors(g: Graph, funcs: DegreeFunctions) -> ConditionReport:
     admits no even-total demand at all (g = f with odd total), rather than
     the vacuous truth of the empty quantifier.  The pair walk starts at the
     seed and runs in the order of the module docstring; each branch carries
-    the least first and second bound over its leaves.
+    the least first and second bound over its leaves.  With
+    ``verdict_first`` the walk needs only the sign: it cuts at
+    min(least value, threshold - 1) and returns at the first pair below the
+    threshold, the seed included, with that pair as the witness; a PASS
+    reports the seed.
     """
     _guard(g, funcs, PAIR_ENUM_CAP, "3^n")
     lo, hi = funcs.g, funcs.f
     n, rows = g.n, g.rows
+    threshold = 0 if funcs.pointwise_equal else -1
     strict = sum(1 << v for v in range(n) if lo[v] < hi[v])  # the v with g(v) < f(v)
     full = (1 << n) - 1
     # the subset functional is the pair functional without q, so its
@@ -262,21 +309,28 @@ def has_all_gf_factors(g: Graph, funcs: DegreeFunctions) -> ConditionReport:
     seed = lu_all_fractional_gf(g, funcs)
     dmask, smask = mask_of(seed.witness_s, n), mask_of(seed.witness_t, n)
     value = seed.min_value - _count_q(g, dmask | smask, smask, lo, strict)
+    if verdict_first and value < threshold:
+        return _report(value, dmask, smask, threshold, 1)
     best = (value, _rank(dmask, n), _rank(smask, n), dmask, smask)
     examined = 1
+    cut = threshold - 1 if verdict_first else value  # no pair above it matters
+    keep = _sieve(g, funcs, cut)
     high_first = range(n - 1, -1, -1)
+    bits = [1 << v for v in range(n)]
     for k in range(n + 1):
-        for combo in combinations(range(n), k):
-            dmask = sum([1 << v for v in combo])
+        for combo in combinations(bits, k):
+            dmask = sum(combo)
+            if not keep[dmask]:
+                continue  # low1 > cut: no S of this D can reach it
             comp = full & ~dmask
-            g_d = sum([lo[v] for v in combo])
+            g_d = sum([lo[v] for v in iter_bits(dmask)])
             rest = [v for v in high_first if comp >> v & 1]
             terms = [(rows[v] & comp).bit_count() - hi[v] + 1 for v in rest]
             low1 = g_d - (n - k) + sum([t for t in terms if t < 0])
-            if low1 > best[0]:
-                continue  # no S of this D can reach best
+            if low1 > cut:
+                continue  # the sieve's value was capped, or cut has fallen since
             low2 = g_d - len(component_masks(rows, n, dmask)) + sum(1 - hi[v] for v in rest)
-            if low2 > best[0]:
+            if low2 > cut:
                 continue
             rank_d = _rank(dmask, n)
             # (depth, S, least first bound, least second bound) over the
@@ -286,27 +340,33 @@ def has_all_gf_factors(g: Graph, funcs: DegreeFunctions) -> ConditionReport:
             stack = [(0, 0, low1, low2)]
             while stack:
                 i, smask, low1, low2 = stack.pop()
-                if low1 > best[0] or low2 > best[0]:
+                if low1 > cut or low2 > cut:
                     continue
                 if i == len(rest):
                     examined += 1
                     value = (low1 + (n - k - smask.bit_count())
                              - _count_q(g, dmask | smask, smask, lo, strict))
-                    if value <= best[0]:
+                    if value <= cut:
+                        if verdict_first:  # value < threshold
+                            return _report(value, dmask, smask, threshold, examined)
                         best = min(best, (value, rank_d, _rank(smask, n), dmask, smask))
+                        cut = value
                     continue
                 v, t = rest[i], terms[i]
                 stack.append((i + 1, smask, low1 - t if t < 0 else low1, low2 + hi[v] - 1))
                 stack.append((i + 1, smask | 1 << v, low1 + t if t > 0 else low1, low2))
     value, _, _, dmask, smask = best
-    return _report(value, dmask, smask, 0 if funcs.pointwise_equal else -1, examined)
+    return _report(value, dmask, smask, threshold, examined)
 
 
-def has_all_ab_factors(g: Graph, bounds: DegreeBounds) -> ConditionReport:
-    """All-[a, b]-factors (a < b): delta(S, T) >= -1 over all disjoint S, T."""
+def has_all_ab_factors(g: Graph, bounds: DegreeBounds, *,
+                       verdict_first: bool = False) -> ConditionReport:
+    """All-[a, b]-factors (a < b): delta(S, T) >= -1 over all disjoint S, T;
+    ``verdict_first`` as in ``has_all_gf_factors``."""
     if bounds.a >= bounds.b:
         raise ValueError("the all-[a,b]-factors characterization requires a < b")
-    return has_all_gf_factors(g, DegreeFunctions.constant(g.n, bounds.a, bounds.b))
+    return has_all_gf_factors(g, DegreeFunctions.constant(g.n, bounds.a, bounds.b),
+                              verdict_first=verdict_first)
 
 
 def lu_all_fractional_gf(g: Graph, funcs: DegreeFunctions) -> ConditionReport:
@@ -325,11 +385,8 @@ def lu_all_fractional_gf(g: Graph, funcs: DegreeFunctions) -> ConditionReport:
     so every block entry, inside int64 however large g and f are.
     """
     _guard(g, funcs, SUBSET_ENUM_CAP, "2^n")
-    cap = [row.bit_count() + 1 for row in g.rows]
-    y = [min(fv, c) for fv, c in zip(funcs.f, cap)]
-    x = [min(gv + fv - yv, c) for gv, fv, yv, c in zip(funcs.g, funcs.f, y, cap)]
     least = []
-    for fixed, masks, values in _blocks(g.rows, x, y):
+    for fixed, masks, values in _blocks(g.rows, *_capped(g, funcs.g, funcs.f)):
         i = int(values.argmin())  # the first is the block's least-rank minimizer
         s = fixed | int(masks[i])
         least.append((int(values[i]), _rank(s, g.n), s))
@@ -350,7 +407,9 @@ def has_all_fractional_ab_factors(g: Graph, bounds: DegreeBounds) -> ConditionRe
 
 def refuting_demand(g: Graph, bounds: DegreeBounds, report: ConditionReport) -> tuple[int, ...]:
     """A demand h in [a, b]^n with even total and no h-factor, from the FAIL
-    witness (D, S) of ``has_all_ab_factors``.
+    witness (D, S) of ``has_all_ab_factors``, with or without
+    ``verdict_first``: the construction needs only delta(D, S) <= -2, which
+    every FAIL witness has, not the least one.
 
     Tutte's f-factor theorem (Canad. J. Math. 4 (1952)): for h(V) even, g has
     an h-factor iff h(D) - h(S) + sum_{x in S} d_{G-D}(x) - q_h(D, S) >= 0 for

@@ -78,7 +78,7 @@ def rho_hnb(n: int, b: int) -> float:
 def is_hnb(g: Graph, b: int) -> bool:
     """Exact isomorphism test against hnb: some vertex of degree b-1 whose
     removal leaves a complete graph."""
-    if g.n < 3 or not 2 <= b <= g.n - 1:
+    if not 2 <= b <= g.n - 1:
         return False
     full = (1 << g.n) - 1
     for v in range(g.n):

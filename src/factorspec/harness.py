@@ -109,8 +109,10 @@ def _sweep(fn: Callable, cases: list, workers: Optional[int]) -> list:
 
 
 def _decide(g: Graph, a: int, b: int, mode: str) -> bool:
-    decider = has_all_ab_factors if mode == "integer" else has_all_fractional_ab_factors
-    return decider(g, DegreeBounds(a, b)).verdict
+    bounds = DegreeBounds(a, b)
+    if mode == "integer":
+        return has_all_ab_factors(g, bounds, verdict_first=True).verdict
+    return has_all_fractional_ab_factors(g, bounds).verdict
 
 
 def _mine_case(case: tuple[Graph, int, int, str]) -> Optional[float]:
@@ -121,14 +123,15 @@ def _mine_case(case: tuple[Graph, int, int, str]) -> Optional[float]:
 
 
 def _suite_case(case: tuple[Graph, int, int, str]) -> tuple[bool, bool]:
-    """(decider verdict, oracle verdict).  An integer FAIL hands the oracle
-    its witness's refuting demand to try first, which changes only the
-    oracle's search order, not its verdict."""
+    """(decider verdict, oracle verdict).  The integer decider stops at its
+    first pair below the threshold, and a FAIL hands the oracle that
+    witness's refuting demand to try first, which changes only the oracle's
+    search order, not its verdict."""
     g, a, b, mode = case
     bounds = DegreeBounds(a, b)
     if mode == "fractional":
         return has_all_fractional_ab_factors(g, bounds).verdict, all_fractional_oracle(g, bounds)
-    report = has_all_ab_factors(g, bounds)
+    report = has_all_ab_factors(g, bounds, verdict_first=True)
     first = None if report.verdict else refuting_demand(g, bounds, report)
     return report.verdict, all_ab_factors_oracle(g, bounds, first)
 

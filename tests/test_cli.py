@@ -393,8 +393,8 @@ class TestMineAndSuite:
         # a decider that inverts every verdict: K_3 and K_4 pass, P_3 fails
         decide = harness.has_all_ab_factors
 
-        def inverted(g, bounds):
-            report = decide(g, bounds)
+        def inverted(g, bounds, **keywords):
+            report = decide(g, bounds, **keywords)
             return dataclasses.replace(report, verdict=not report.verdict)
 
         monkeypatch.setattr(harness, "has_all_ab_factors", inverted)

@@ -462,6 +462,47 @@ class TestRefutingDemand:
             refuting_demand(k(4), DegreeBounds(2, 2), report)
 
 
+class TestVerdictFirst:
+    """``verdict_first`` stops the walk at its first pair below the
+    threshold.  Its verdict is the full walk's, and a FAIL's witness, not
+    always the least, is still a pair at its value, so an [a, b] one has
+    delta <= -2 and yields a refuting demand."""
+
+    def test_catalog_verdicts_and_refuted_witnesses(self):
+        fails = 0
+        for g in connected_up_to(7):
+            for a, b in [(1, 2), (1, 3), (2, 3), (2, 4)]:
+                bounds = DegreeBounds(a, b)
+                report = has_all_ab_factors(g, bounds, verdict_first=True)
+                case = (to_graph6(g), a, b)
+                assert report.verdict == has_all_ab_factors(g, bounds).verdict, case
+                if report.verdict:
+                    assert report.min_value >= -1, case
+                    continue
+                fails += 1
+                value = delta(g, bounds, report.witness_s, report.witness_t)
+                assert value == report.min_value <= -2, case
+                assert not has_h_factor(g, refuting_demand(g, bounds, report))[0], case
+        assert fails == 3800
+
+    def test_mixed_functions(self):
+        # g = f takes the threshold-0 stop and q's parity path
+        rng = random.Random(23)
+        for n in range(2, 11):
+            for _ in range(4):
+                g = random_graph(rng, n, rng.choice((0.3, 0.6, 0.9)))
+                gfun = tuple(rng.randint(1, 3) for _ in range(n))
+                for ffun in (tuple(gv + rng.choice((0, 0, 1, 2)) for gv in gfun), gfun):
+                    funcs = DegreeFunctions(gfun, ffun)
+                    threshold = 0 if funcs.pointwise_equal else -1
+                    report = has_all_gf_factors(g, funcs, verdict_first=True)
+                    full = has_all_gf_factors(g, funcs)
+                    d, s = sorted(report.witness_s), sorted(report.witness_t)
+                    assert report.verdict == full.verdict == (report.min_value >= threshold)
+                    assert reeval_gf(g, funcs, d, s) == report.min_value >= full.min_value
+                    assert report.pairs_examined <= full.pairs_examined
+
+
 class TestGoldenReports:
     """Full reports, pairs_examined included, pinned for fixed inputs; the
     count depends on the pair walk's order, its seed and its two bounds."""
@@ -543,6 +584,17 @@ class TestPairLoopOrder:
                 cases += [(g, DegreeFunctions.constant(n, a, b))
                           for a, b in ((1, 1), (1, 2), (2, 3))]
         for g, funcs in cases:
+            expected = pair_loop_reference(g, funcs) + (pair_walk_count(g, funcs),)
+            assert report_tuple(has_all_gf_factors(g, funcs)) == expected
+
+    def test_huge_mixed_functions_match_reference(self):
+        # g and f up to 10^19, beyond int64: the subset blocks of the seed
+        # and of the sieve see them only capped at d(v) + 1
+        rng = random.Random(61)
+        for n in (5, 7, 9, 11):
+            g = random_graph(rng, n)
+            gfun = tuple(rng.choice((1, 2, 3, 10**19)) for _ in range(n))
+            funcs = DegreeFunctions(gfun, tuple(gv + rng.choice((0, 1, 2, 10**19)) for gv in gfun))
             expected = pair_loop_reference(g, funcs) + (pair_walk_count(g, funcs),)
             assert report_tuple(has_all_gf_factors(g, funcs)) == expected
 

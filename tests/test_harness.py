@@ -179,8 +179,8 @@ def reported(verdict_of):
     its verdict replaced by ``verdict_of(real verdict)``."""
     decide = harness.has_all_ab_factors
 
-    def wrong(g, bounds):
-        report = decide(g, bounds)
+    def wrong(g, bounds, **keywords):
+        report = decide(g, bounds, **keywords)
         return dataclasses.replace(report, verdict=verdict_of(report.verdict))
 
     return wrong

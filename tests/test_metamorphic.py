@@ -1,5 +1,5 @@
-"""Metamorphic relations of the [a, b] deciders, which need no oracle and no
-second copy of either functional.
+"""Metamorphic relations of the deciders, which need no oracle and no second
+copy of either functional.
 
 - Edge monotonicity: for every pair (D, S), adding an edge can only raise the
   degrees in G - D and merge components of G - (D u S), and for every S it can
@@ -7,6 +7,10 @@ second copy of either functional.
   PASS(G) implies PASS(G + e).  Both verdicts occur among the draws.
 - Relabelling: a vertex permutation keeps the minimum, and maps the witness
   to a set (pair) at which ``delta`` (``theta``) re-evaluates to it.
+- Both relations under a mixed (g, f), g and f permuted with the vertices:
+  the proof of monotonicity holds pair by pair, since a new edge raises
+  e(C, S) by one exactly when it raises a degree of S by one, and merging two
+  components never raises q.
 """
 
 import random
@@ -16,11 +20,14 @@ from hypothesis import strategies as st
 
 from factorspec import (
     DegreeBounds,
+    DegreeFunctions,
     Graph,
     delta,
     from_edge_list,
     has_all_ab_factors,
     has_all_fractional_ab_factors,
+    has_all_gf_factors,
+    lu_all_fractional_gf,
     theta,
 )
 
@@ -39,6 +46,17 @@ def graphs_and_bounds(draw, max_order):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     a = rng.randint(1, 2)
     return from_edge_list(n, edges), DegreeBounds(a, a + rng.randint(1, 2)), rng
+
+
+@st.composite
+def graphs_and_functions(draw, max_order):
+    """A graph drawn as in ``graphs_and_bounds`` and a mixed (g, f): g(v) in
+    1..3 and f(v) - g(v) in {0, 1, 2}, or now and then g = f, so that both
+    thresholds and q's parity path occur."""
+    g, _, rng = draw(graphs_and_bounds(max_order))
+    gfun = tuple(rng.randint(1, 3) for _ in range(g.n))
+    ffun = gfun if rng.random() < 0.25 else tuple(gv + rng.choice((0, 0, 1, 2)) for gv in gfun)
+    return g, DegreeFunctions(gfun, ffun), rng
 
 
 def with_one_more_edge(g, rng):
@@ -103,3 +121,41 @@ def test_relabelling_keeps_the_subset_minimum(case):
     value, t = theta(relabelled(g, perm), bounds, [perm[v] for v in report.witness_s])
     assert value == report.min_value
     assert t == {perm[v] for v in report.witness_t}
+
+
+def permuted(funcs, perm):
+    """g and f with vertex v renamed perm[v]."""
+    order = sorted(range(len(perm)), key=perm.__getitem__)  # the v with perm[v] = 0, 1, ...
+    return DegreeFunctions(tuple(funcs.g[v] for v in order), tuple(funcs.f[v] for v in order))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(graphs_and_functions(INTEGER_MAX_ORDER))
+def test_gf_minimum_never_falls_when_an_edge_is_added(case):
+    assert_edge_monotone(has_all_gf_factors, case)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(graphs_and_functions(FRACTIONAL_MAX_ORDER))
+def test_fractional_gf_minimum_never_falls_when_an_edge_is_added(case):
+    assert_edge_monotone(lu_all_fractional_gf, case)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(graphs_and_functions(INTEGER_MAX_ORDER))
+def test_relabelling_keeps_the_gf_minimum(case):
+    g, funcs, rng = case
+    perm = rng.sample(range(g.n), g.n)
+    report = has_all_gf_factors(g, funcs)
+    moved = has_all_gf_factors(relabelled(g, perm), permuted(funcs, perm))
+    assert (moved.verdict, moved.min_value) == (report.verdict, report.min_value)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(graphs_and_functions(FRACTIONAL_MAX_ORDER))
+def test_relabelling_keeps_the_fractional_gf_minimum(case):
+    g, funcs, rng = case
+    perm = rng.sample(range(g.n), g.n)
+    report = lu_all_fractional_gf(g, funcs)
+    moved = lu_all_fractional_gf(relabelled(g, perm), permuted(funcs, perm))
+    assert (moved.verdict, moved.min_value) == (report.verdict, report.min_value)
