@@ -3,9 +3,10 @@ constructions, verification sweeps, mining, and equivalence suites.
 
 Every command, and every ``verify`` target, accepts only the flags it reads;
 a flag that belongs to another mode, kind or target is a usage error.  The
-tolerances are fixed (``harness.HONG_TOL`` and ``QUOTIENT_TOL``, and
-``spectral.RHO_TOL`` for every dense radius; the strict spectral bounds are
-exact root counts); only the sweeps' ranges are flags.
+tolerances are fixed: ``spectral.RHO_TOL`` certifies every dense radius and
+decides ``mine``'s ties and ``verify hong``, ``harness.QUOTIENT_TOL`` bounds
+``verify quotient``, and the strict spectral bounds are exact root counts.
+Only the sweeps' ranges are flags.
 
 Exit codes: 0 when the queried property holds (or the sweep or suite
 passed), 1 when it fails (or a counterexample or mismatch was found), 2 on

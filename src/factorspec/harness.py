@@ -34,12 +34,10 @@ from .extremal import (
 from .graph import (GRAPH6_HEADER, Graph, Graph6Error, check_dense_order, is_connected,
                     parse_graph6, to_graph6)
 from .oracle import all_ab_factors_oracle, all_fractional_oracle
-from .spectral import _poly_eval, _roots_at_least, hong_bound, largest_root, spectral_radius
+from .spectral import (RHO_TOL, _poly_eval, _roots_at_least, hong_bound, largest_root,
+                       spectral_radius)
 
 MODES = ("integer", "fractional")
-# mine_extremal treats spectral radii this close (relative) as equal
-RHO_TIE_REL = 1e-9
-HONG_TOL = 1e-9  # verify_hong lets rho exceed Hong's bound by this much
 QUOTIENT_TOL = 1e-8  # quotient and dense rho(hnb) must agree within this
 
 
@@ -200,9 +198,9 @@ def mine_extremal(
     """Run the exact decider over a same-order catalog and report the
     spectral-radius maximizer among the failing graphs.
 
-    Radii within RHO_TIE_REL (relative) of the maximum tie, and ties break
-    to the lexicographically-least graph6 record, so the report depends
-    neither on scheduling nor on the last bits of the eigensolver.
+    Radii within 2 * RHO_TOL (twice the certified error) of the maximum tie,
+    and ties break to the lexicographically-least graph6 record, so the report
+    depends neither on scheduling nor on the last bits of the eigensolver.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -222,7 +220,7 @@ def mine_extremal(
     if failing:
         top = max(rho for rho, _ in failing)
         tied = [(to_graph6(g).decode("ascii"), rho, g)
-                for rho, g in failing if top - rho <= RHO_TIE_REL * top]
+                for rho, g in failing if top - rho <= 2 * RHO_TOL]
         argmax_g6, max_rho, argmax = min(tied, key=lambda t: t[0])
     reference = rho_hnb(n, bounds.b) if 2 <= bounds.b <= n - 1 else None
     return MineReport(
@@ -337,7 +335,8 @@ def verify_g1_g2_bounds(amax: int, bmax: int) -> VerifyReport:
 
 
 def verify_hong(graphs: Iterable[Graph]) -> VerifyReport:
-    """rho(G) <= sqrt(2m - n + 1) + HONG_TOL on every connected graph supplied."""
+    """rho(G) <= sqrt(2m - n + 1) + RHO_TOL, rho's certified error, on every
+    connected graph supplied, so K_n and K_{1,n-1} (equality) pass."""
     t0 = time.perf_counter()
     cases = 0
     failures = []
@@ -347,7 +346,7 @@ def verify_hong(graphs: Iterable[Graph]) -> VerifyReport:
         cases += 1
         rho = spectral_radius(g).rho
         bound = hong_bound(g)
-        if rho > bound + HONG_TOL:
+        if rho > bound + RHO_TOL:
             failures.append({"graph6": to_graph6(g).decode("ascii"), "rho": rho, "bound": bound})
     return _verify_report("hong-bound", cases, failures, t0)
 

@@ -49,7 +49,7 @@ def _gadget(g: Graph, h: Sequence[int]) -> tuple[list[list[int]], list[tuple[str
 
     Internal nodes are numbered first, vertex by vertex, then the externals,
     vertex by vertex in neighbour order, so the greedy seed of
-    ``_maximum_matching`` fills each internal from its own vertex's
+    ``_perfect_matching`` fills each internal from its own vertex's
     externals.  The internals of v share one neighbour list (v's externals);
     an external lists its link partner first, then v's internals.
     """
@@ -99,16 +99,17 @@ def tutte_gadget(g: Graph, h: Sequence[int]) -> tuple[Graph, list[tuple[str, int
     return Graph(len(adj), tuple(mask_of(nbrs, len(adj)) for nbrs in adj)), labels
 
 
-# -- general-graph maximum matching -------------------------------------------
+# -- general-graph perfect matching -------------------------------------------
 
 
-def _maximum_matching(n: int, adj: list[list[int]]) -> list[int]:
-    """Maximum matching via augmenting paths with blossom contraction.
+def _perfect_matching(n: int, adj: list[list[int]]) -> Optional[list[int]]:
+    """Perfect matching via augmenting paths with blossom contraction.
 
-    Returns match[v] = partner or -1.  ``base`` tracks the representative of
-    each contracted blossom; the search tree alternates matched/unmatched
-    edges from an exposed root, and odd cycles found along the way are
-    contracted on the fly.
+    Returns match[v] = partner, or None at the first exposed root with no
+    augmenting path (by Edmonds' lemma, later augmentations never give it
+    one).  ``base`` tracks the representative of each contracted blossom;
+    the search tree alternates matched/unmatched edges from an exposed root,
+    and odd cycles found along the way are contracted on the fly.
     """
     match = [-1] * n
     for v in range(n):  # greedy seed cuts the number of augment phases
@@ -184,18 +185,16 @@ def _maximum_matching(n: int, adj: list[list[int]]) -> list[int]:
         return False
 
     for v in range(n):
-        if match[v] == -1:
-            find_augmenting(v)
+        if match[v] == -1 and not find_augmenting(v):
+            return None  # v stays exposed
     return match
 
 
 def perfect_matching(g: Graph) -> Optional[frozenset[tuple[int, int]]]:
     """The edges (u, v), u < v, of a perfect matching of g, or None when
     none exists (exact)."""
-    if g.n % 2 == 1:
-        return None
-    match = _maximum_matching(g.n, [list(iter_bits(row)) for row in g.rows])
-    if -1 in match:
+    match = _perfect_matching(g.n, [list(iter_bits(row)) for row in g.rows])
+    if match is None:
         return None
     return frozenset((v, match[v]) for v in range(g.n) if v < match[v])
 
@@ -218,10 +217,8 @@ def has_h_factor(
     if any(h[v] > g.degree(v) for v in range(g.n)):
         return False, None
     adj, labels = _gadget(g, h)
-    if len(adj) % 2 == 1:
-        return False, None
-    match = _maximum_matching(len(adj), adj)
-    if -1 in match:
+    match = _perfect_matching(len(adj), adj)
+    if match is None:
         return False, None
     factor = set()
     for i, (kind, v, u) in enumerate(labels):

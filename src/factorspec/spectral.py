@@ -48,9 +48,10 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """``iterations`` counts power iterations only (0 on the direct route);
-    ``method`` names the route of the component that attained ``rho``:
-    ``"dense-eigh"`` or ``"dense-iteration"``."""
+    """``residual`` is the inf-norm of A x - rho x; the certificate is its
+    l2 norm, at most ``RHO_TOL``.  ``iterations`` counts power iterations
+    only (0 on the direct route); ``method`` names the route of the
+    component that attained ``rho``: ``"dense-eigh"`` or ``"dense-iteration"``."""
 
     rho: float
     residual: float

@@ -284,19 +284,29 @@ class TestVerify:
         ]
 
     def test_hong_counterexample_exits_1(self, capsys, monkeypatch, tmp_path):
-        # a radius twice HONG_TOL over Hong's bound is a failure
+        # a radius twice RHO_TOL, its certified error, over Hong's bound is a failure
         from factorspec import harness
 
         monkeypatch.setattr(harness, "spectral_radius", lambda g: spectral.SpectralResult(
-            spectral.hong_bound(g) + 2 * harness.HONG_TOL, 0.0, 0, "dense-eigh"))
+            spectral.hong_bound(g) + 2 * spectral.RHO_TOL, 0.0, 0, "dense-eigh"))
         path = tmp_path / "cat.g6"
         path.write_bytes(b"Bw\n")
         code, out, err = run(capsys, "verify", "hong", "--input", str(path), "--json")
         assert (code, err) == (1, "")
         bound = spectral.hong_bound(complete(3))
         assert json.loads(out)["failures"] == [
-            {"graph6": "Bw", "rho": harness._round12(bound + 2 * harness.HONG_TOL),
+            {"graph6": "Bw", "rho": harness._round12(bound + 2 * spectral.RHO_TOL),
              "bound": harness._round12(bound)}]
+
+    def test_hong_equality_cases_pass(self, capsys, tmp_path):
+        # K_5 and K_{1,4} meet rho <= sqrt(2m - n + 1) with equality
+        star = from_edge_list(5, [(0, v) for v in range(1, 5)])
+        path = tmp_path / "cat.g6"
+        path.write_bytes(to_graph6(complete(5)) + b"\n" + to_graph6(star) + b"\n")
+        code, out, err = run(capsys, "verify", "hong", "--input", str(path), "--json")
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert (data["cases_run"], data["failures"]) == (2, [])
 
     def test_quotient_counterexample_exits_1(self, capsys, monkeypatch):
         # a dense radius twice QUOTIENT_TOL off the quotient's is a failure

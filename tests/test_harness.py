@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from factorspec import harness, oracle
+from factorspec import harness, oracle, spectral
 from factorspec import (
     DegreeBounds,
     Graph6Error,
@@ -141,6 +141,18 @@ class TestMineExtremal:
         assert [r.argmax_graph for r in reports] == ["E?ow", "E?ow"]
         assert report_to_dict(reports[0]) == report_to_dict(reports[1])
         assert abs(reports[0].max_rho_failing - 2.0) < 1e-9
+
+    @pytest.mark.parametrize("gap, argmax", [(1.5, "E?ow"), (3.0, "EEh_")])
+    def test_ties_within_twice_the_certified_error(self, monkeypatch, gap, argmax):
+        # each radius is within RHO_TOL of exact, so radii 2 * RHO_TOL apart
+        # may be one exact radius and tie to the least graph6; wider gaps do not
+        radii = {"E?ow": 3.0, "EEh_": 3.0 + gap * spectral.RHO_TOL, "ECp_": 1.0}
+        monkeypatch.setattr(harness, "spectral_radius", lambda g: spectral.SpectralResult(
+            radii[to_graph6(g).decode()], 0.0, 0, "dense-eigh"))
+        graphs = [parse_graph6(g6) for g6 in radii]
+        report = mine_extremal(graphs, DegreeBounds(1, 2), "fractional", workers=1)
+        assert report.failing_count == 3
+        assert (report.argmax_graph, report.max_rho_failing) == (argmax, radii[argmax])
 
     def test_no_graph6_round_trip(self, monkeypatch):
         calls = {"parse": 0, "encode": 0}
