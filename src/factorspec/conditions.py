@@ -37,13 +37,18 @@ its first test.  With ``verdict_first`` the walk needs only the sign: the
 cut and the sieve take min(least value, threshold - 1), and the first pair
 below the threshold ends the walk.  The subset loop only locates the least
 minimizer S: it evaluates all 2^n subsets in blocks of 2^k (k = min(n, 12))
-that fix S to P on the n - k lowest vertices, where one int64 table lists
+that fix S to P on the n - k lowest vertices, where one int32 table lists
 the degree deficits d_{G-S}(v) - f(v) of every part X of S on the rest in
 sorted-tuple order and each block adds P's in one numpy pass.  As sorted(P u X) = sorted(P) +
 sorted(X), a block's first minimum is its least by ``_rank``, and the blocks
 compare by (value, rank), as the pair walk does by (value, rank(D), rank(S)):
 ties go to the least (sorted first set, sorted second set) pair of tuples.
-One exact evaluation at S then gives the minimum and T.
+One exact evaluation at S then gives the minimum and T.  The loop takes a
+stack of same-order graphs, each under its own functions, in one pass: the
+tables of the whole stack are built by one ``_preorder_sums`` call, each
+block gives one row of values per graph, and a row's first argmin is that
+graph's least witness in the block.  A single graph is the one-graph stack,
+and ``stack_size`` bounds a stack's tables by one table at the cap.
 ``refuting_demand`` turns an [a, b] FAIL witness, least or not, into one
 demand that has no factor, by Tutte's f-factor theorem, so a FAIL can be
 checked by one matching.
@@ -64,7 +69,7 @@ from .graph import Graph, bit_matrix, component_masks, iter_bits, mask_of, set_o
 
 PAIR_ENUM_CAP = 16
 SUBSET_ENUM_CAP = 22
-_BLOCK_BITS = 12  # a block's n x 2^12 int64 table is 720 KB at n = SUBSET_ENUM_CAP
+_BLOCK_BITS = 12  # a block's n x 2^12 int32 table is 360 KB at n = SUBSET_ENUM_CAP
 
 
 class CapExceededError(RuntimeError):
@@ -172,7 +177,7 @@ def _preorder_sums(columns: np.ndarray) -> np.ndarray:
     goes just before them, after the empty set."""
     m, k = columns.shape
     top = 1 << k
-    sums = np.zeros((m, top), dtype=np.int64)
+    sums = np.zeros((m, top), dtype=columns.dtype)
     for u in range(k - 1, -1, -1):
         half = top >> u + 1
         np.add(sums[:, top - half:], columns[:, u, None],
@@ -180,27 +185,53 @@ def _preorder_sums(columns: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _blocks(rows: tuple[int, ...], x: Sequence[int], y: Sequence[int]
-            ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """The subset functional at every S, one block at a time: (fixed, masks,
-    values) with values[i] its value at S = fixed | masks[i].  Needs
-    0 <= x(v), y(v) <= d(v) + 1, so the lift exceeds |d_{G-S}(v) - y(v)|."""
-    n = len(rows)
+def _blocks(rows: Sequence[tuple[int, ...]], x: Sequence[Sequence[int]],
+            y: Sequence[Sequence[int]]) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The subset functional at every S for each (rows[i], x[i], y[i]) of a
+    stack of same-order graphs, one block at a time: (fixed, masks, values)
+    with values[i, j] the i-th functional at S = fixed | masks[j].  Needs
+    0 <= x(v), y(v) <= d(v) + 1, so the lift exceeds |d_{G-S}(v) - y(v)|.
+
+    The tables are int32: every entry is a mask below 2^n or a sum of at
+    most n weights of absolute value at most n + 1 plus d(v) - y(v), so
+    below 2^22 in absolute value at n = SUBSET_ENUM_CAP."""
+    count, n = len(rows), len(rows[0])
     m = n - min(n, _BLOCK_BITS)  # a block fixes S on the m lowest vertices
-    adj = bit_matrix(rows)  # uint8, so ``weights`` below stays int64
-    # column u: what u joining S adds to d_{G-S}(v) - y(v), which starts at
-    # d(v) - y(v), lifted by n + 1 at v = u so that the minimum below gives 0
-    # there (rows v < n), to x(S) (row n) and to the mask of S (row n + 1)
-    weights = np.vstack(((n + 1) * np.eye(n, dtype=np.int64) - adj,
-                         np.array(x, dtype=np.int64), 1 << np.arange(n, dtype=np.int64)))
+    adj = bit_matrix([row for graph in rows for row in graph], n).reshape(count, n, n)
+    # per graph, column u: what u joining S adds to d_{G-S}(v) - y(v), which
+    # starts at d(v) - y(v), lifted by n + 1 at v = u so that the minimum
+    # below gives 0 there (rows v < n), and to x(S) (row n); then one row for
+    # the whole stack, u's bit in the mask of S
+    weights = np.empty((count * (n + 1) + 1, n), dtype=np.int32)
+    per_graph = weights[:-1].reshape(count, n + 1, n)
+    np.negative(adj, out=per_graph[:, :n], dtype=np.int32)
+    per_graph.reshape(count, -1)[:, :n * n:n + 1] = n + 1  # the diagonal: adj has none
+    per_graph[:, n] = x
+    weights[-1] = 1 << np.arange(n)
     inner = _preorder_sums(weights[:, m:])
-    inner[:n] += (adj.sum(axis=1, dtype=np.int64) - np.array(y, dtype=np.int64))[:, None]
+    masks, inner = inner[-1], inner[:-1].reshape(count, n + 1, -1)
+    inner[:, :n] += (adj.sum(axis=2, dtype=np.int32) - np.array(y, dtype=np.int32))[:, :, None]
     outer = _preorder_sums(weights[:, :m])
-    block = np.empty((n, inner.shape[1]), dtype=np.int64)
+    fixed, outer = outer[-1].tolist(), outer[:-1].reshape(count, n + 1, -1)
+    block = np.empty((count, n, inner.shape[2]), dtype=np.int32)
     for j in range(1 << m):
-        np.add(inner[:n], outer[:n, j, None], out=block)
+        np.add(inner[:, :n], outer[:, :n, j, None], out=block)
         np.minimum(block, 0, out=block)
-        yield int(outer[n + 1, j]), inner[n + 1], block.sum(axis=0) + (inner[n] + outer[n, j])
+        yield fixed[j], masks, block.sum(axis=1) + (inner[:, n] + outer[:, n, j, None])
+
+
+def _least_minimizers(rows: Sequence[tuple[int, ...]], x: Sequence[Sequence[int]],
+                      y: Sequence[Sequence[int]]) -> list[int]:
+    """The least-rank minimizer S of each functional of a ``_blocks`` stack:
+    a row's first argmin is its block's least by ``_rank``, and the blocks
+    compare by (value, rank)."""
+    n = len(rows[0])
+    least: list[list[tuple[int, int, int]]] = [[] for _ in rows]
+    for fixed, masks, values in _blocks(rows, x, y):
+        first = masks[values.argmin(axis=1)].tolist()
+        for found, value, s in zip(least, values.min(axis=1).tolist(), first):
+            found.append((value, _rank(fixed | s, n), fixed | s))
+    return [min(found)[2] for found in least]
 
 
 def delta(g: Graph, bounds: DegreeBounds, s: Iterable[int], t: Iterable[int]) -> int:
@@ -270,13 +301,13 @@ def _sieve(g: Graph, funcs: DegreeFunctions, bound: int) -> list[bool]:
     ``bound`` is the seed's value, at least -f(V) - n and at most the subset
     functional at S = {}, -sum_{f(v) > d(v)} (f(v) - d(v)); or it is -1 or
     -2 and below that value.  Either way the limit lies in [-2m - 2n, n],
-    inside int64 however large g and f are."""
+    inside the tables' int32 however large g and f are."""
     n = g.n
     x, y = _capped(g, [gv + 1 for gv in funcs.g], [fv - 1 for fv in funcs.f])
     limit = bound + sum(funcs.f) - sum(y)
     keep = np.empty(1 << n, dtype=bool)
-    for fixed, masks, values in _blocks(g.rows, x, y):
-        keep[masks + fixed] = values <= limit
+    for fixed, masks, values in _blocks([g.rows], [x], [y]):
+        keep[masks + fixed] = values[0] <= limit
     return keep.tolist()
 
 
@@ -369,6 +400,30 @@ def has_all_ab_factors(g: Graph, bounds: DegreeBounds, *,
                               verdict_first=verdict_first)
 
 
+def stack_size(n: int) -> int:
+    """How many order-n graphs one stack of the subset deciders holds: their
+    weight tables, (n + 2) 2^k entries each (k = min(n, 12)), stay within
+    one table at the cap, (SUBSET_ENUM_CAP + 2) 2^_BLOCK_BITS entries."""
+    return max(1, ((SUBSET_ENUM_CAP + 2) << _BLOCK_BITS) // ((n + 2) << min(n, _BLOCK_BITS)))
+
+
+def lu_all_fractional_gf_stack(graphs: Sequence[Graph], funcs: Sequence[DegreeFunctions]
+                               ) -> list[ConditionReport]:
+    """``lu_all_fractional_gf`` of each graph of a same-order stack under its
+    own functions, from one pass of the subset blocks over the whole stack."""
+    for g, fn in zip(graphs, funcs, strict=True):
+        if g.n != graphs[0].n:
+            raise ValueError("a stack holds graphs of one order")
+        _guard(g, fn, SUBSET_ENUM_CAP, "2^n")
+    weights = [_capped(g, fn.g, fn.f) for g, fn in zip(graphs, funcs)]
+    least = _least_minimizers([g.rows for g in graphs], *zip(*weights))
+    reports = []
+    for g, fn, smask in zip(graphs, funcs, least):
+        value, tmask = _subset_value(g, fn.g, fn.f, smask)
+        reports.append(_report(value, smask, tmask, 0, 1 << g.n))
+    return reports
+
+
 def lu_all_fractional_gf(g: Graph, funcs: DegreeFunctions) -> ConditionReport:
     """All fractional (g, f)-factors: g(S) - f(T) + sum_{x in T} d_{G-S}(x) >= 0
     for every S, with T = {v not in S : d_{G-S}(v) < f(v)}.
@@ -382,24 +437,25 @@ def lu_all_fractional_gf(g: Graph, funcs: DegreeFunctions) -> ConditionReport:
     moving v out lowers the value by at least d(v) + 1 (capped), or
     g(v) + max(0, f(v) - d(v)) > d(v) (true), and raises at most d(v) other
     terms by 1 each.  So the minimizers agree, and the caps keep x and y, and
-    so every block entry, inside int64 however large g and f are.
+    so every block entry, inside int32 however large g and f are.
     """
-    _guard(g, funcs, SUBSET_ENUM_CAP, "2^n")
-    least = []
-    for fixed, masks, values in _blocks(g.rows, *_capped(g, funcs.g, funcs.f)):
-        i = int(values.argmin())  # the first is the block's least-rank minimizer
-        s = fixed | int(masks[i])
-        least.append((int(values[i]), _rank(s, g.n), s))
-    smask = min(least)[2]
-    value, tmask = _subset_value(g, funcs.g, funcs.f, smask)
-    return _report(value, smask, tmask, 0, 1 << g.n)
+    return lu_all_fractional_gf_stack([g], [funcs])[0]
+
+
+def has_all_fractional_ab_factors_stack(graphs: Sequence[Graph], bounds: DegreeBounds
+                                        ) -> list[ConditionReport]:
+    """``has_all_fractional_ab_factors`` of each graph of a same-order stack."""
+    if bounds.a >= bounds.b:
+        raise ValueError("the all-fractional-[a,b]-factors characterization requires a < b")
+    if not graphs:
+        return []
+    funcs = DegreeFunctions.constant(graphs[0].n, bounds.a, bounds.b)
+    return lu_all_fractional_gf_stack(graphs, [funcs] * len(graphs))
 
 
 def has_all_fractional_ab_factors(g: Graph, bounds: DegreeBounds) -> ConditionReport:
     """All fractional [a, b]-factors (a < b): theta(S) >= 0 for every S."""
-    if bounds.a >= bounds.b:
-        raise ValueError("the all-fractional-[a,b]-factors characterization requires a < b")
-    return lu_all_fractional_gf(g, DegreeFunctions.constant(g.n, bounds.a, bounds.b))
+    return has_all_fractional_ab_factors_stack([g], bounds)[0]
 
 
 # -- certificates -------------------------------------------------------------------

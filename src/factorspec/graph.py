@@ -63,13 +63,15 @@ def set_of(mask: int) -> frozenset[int]:
 MIRROR_MATRIX_ORDER = 64
 
 
-def bit_matrix(rows: Sequence[int]) -> np.ndarray:
-    """The n x n uint8 matrix, n = len(rows), whose entry (v, u) is bit u of
-    ``rows[v]``; every row must lie below bit n."""
-    n = len(rows)
+def bit_matrix(rows: Sequence[int], n: int | None = None) -> np.ndarray:
+    """The len(rows) x n uint8 matrix, n = len(rows) unless given, whose entry
+    (v, u) is bit u of ``rows[v]``; every row must lie below bit n.  The rows
+    of G graphs of order n, one graph after another, unpack in one call."""
+    if n is None:
+        n = len(rows)
     width = (n + 7) // 8  # bytes per row, bit u of a row in byte u // 8
     packed = np.frombuffer(b"".join([row.to_bytes(width, "little") for row in rows]), np.uint8)
-    return np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little")
+    return np.unpackbits(packed.reshape(len(rows), width), axis=1, count=n, bitorder="little")
 
 
 def _mirror(lower: list[int]) -> tuple[int, ...]:

@@ -1,10 +1,11 @@
 """Catalog ingestion, extremal mining, equivalence suites, and verification sweeps.
 
-This is the only stateful layer: it streams graph6 catalogs, fans per-graph
-evaluation out to a worker pool, and reduces deterministically (max with a
-lexicographically-least graph6 tie-break), so worker count never changes a
-report.  JSON serialization rounds reals to 12 significant digits and omits
-wall-clock fields, making reports byte-identical across runs.
+This is the only stateful layer: it streams graph6 catalogs, fans
+evaluation out to a worker pool, per graph or per stack of same-order graphs
+(``mine``), and reduces deterministically (max with a lexicographically-least
+graph6 tie-break), so worker count never changes a report.  JSON
+serialization rounds reals to 12 significant digits and omits wall-clock
+fields, making reports byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from .conditions import (
     DegreeBounds,
     has_all_ab_factors,
     has_all_fractional_ab_factors,
+    has_all_fractional_ab_factors_stack,
     refuting_demand,
+    stack_size,
 )
 from .extremal import (
     g12_min_order,
@@ -31,11 +34,11 @@ from .extremal import (
     layout_charpoly,
     rho_hnb,
 )
-from .graph import (GRAPH6_HEADER, Graph, Graph6Error, check_dense_order, is_connected,
-                    parse_graph6, to_graph6)
+from .graph import (GRAPH6_HEADER, Graph, Graph6Error, check_dense_order, component_masks,
+                    is_connected, parse_graph6, to_graph6)
 from .oracle import all_ab_factors_oracle, all_fractional_oracle
 from .spectral import (RHO_TOL, _poly_eval, _roots_at_least, hong_bound, largest_root,
-                       spectral_radius)
+                       spectral_radii, spectral_radius)
 
 MODES = ("integer", "fractional")
 QUOTIENT_TOL = 1e-8  # quotient and dense rho(hnb) must agree within this
@@ -106,18 +109,30 @@ def _sweep(fn: Callable, cases: list, workers: Optional[int]) -> list:
         return pool.map(fn, cases, chunksize=chunk)
 
 
-def _decide(g: Graph, a: int, b: int, mode: str) -> bool:
+def _stacks(graphs: Iterable[Graph]) -> Iterator[list[Graph]]:
+    """``graphs`` in order, cut into stacks: runs of one order, each at most
+    ``stack_size`` of that order long."""
+    stack: list[Graph] = []
+    for g in graphs:
+        if stack and (g.n != stack[0].n or len(stack) == stack_size(g.n)):
+            yield stack
+            stack = []
+        stack.append(g)
+    if stack:
+        yield stack
+
+
+def _mine_stack(case: tuple[list[Graph], int, int, str]) -> list[Optional[float]]:
+    """rho of each graph of a stack that fails the property; None where it
+    holds.  Fractional verdicts and the radii are taken for the whole stack."""
+    graphs, a, b, mode = case
     bounds = DegreeBounds(a, b)
     if mode == "integer":
-        return has_all_ab_factors(g, bounds, verdict_first=True).verdict
-    return has_all_fractional_ab_factors(g, bounds).verdict
-
-
-def _mine_case(case: tuple[Graph, int, int, str]) -> Optional[float]:
-    """rho of a graph that fails the property; None when it holds."""
-    if _decide(*case):
-        return None
-    return spectral_radius(case[0]).rho
+        holds = [has_all_ab_factors(g, bounds, verdict_first=True).verdict for g in graphs]
+    else:
+        holds = [r.verdict for r in has_all_fractional_ab_factors_stack(graphs, bounds)]
+    radii = iter(spectral_radii([g for g, h in zip(graphs, holds) if not h]))
+    return [None if h else next(radii).rho for h in holds]
 
 
 def _suite_case(case: tuple[Graph, int, int, str]) -> tuple[bool, bool]:
@@ -196,7 +211,9 @@ def mine_extremal(
     workers: Optional[int] = None,
 ) -> MineReport:
     """Run the exact decider over a same-order catalog and report the
-    spectral-radius maximizer among the failing graphs.
+    spectral-radius maximizer among the failing graphs.  The catalog goes
+    to the workers in stacks of ``stack_size`` graphs, so each stack takes
+    one fractional pass and one set of stacked eigensolves.
 
     Radii within 2 * RHO_TOL (twice the certified error) of the maximum tie,
     and ties break to the lexicographically-least graph6 record, so the report
@@ -211,9 +228,9 @@ def mine_extremal(
     n = glist[0].n
     if any(g.n != n for g in glist):
         raise ValueError("mine_extremal requires all graphs to have the same order")
-    cases = [(g, bounds.a, bounds.b, mode) for g in glist]
-    failing = [(rho, g) for rho, g in zip(_sweep(_mine_case, cases, workers), glist)
-               if rho is not None]
+    cases = [(stack, bounds.a, bounds.b, mode) for stack in _stacks(glist)]
+    radii = [rho for part in _sweep(_mine_stack, cases, workers) for rho in part]
+    failing = [(rho, g) for rho, g in zip(radii, glist) if rho is not None]
     max_rho: Optional[float] = None
     argmax: Optional[Graph] = None
     argmax_g6: Optional[str] = None
@@ -336,18 +353,22 @@ def verify_g1_g2_bounds(amax: int, bmax: int) -> VerifyReport:
 
 def verify_hong(graphs: Iterable[Graph]) -> VerifyReport:
     """rho(G) <= sqrt(2m - n + 1) + RHO_TOL, rho's certified error, on every
-    connected graph supplied, so K_n and K_{1,n-1} (equality) pass."""
+    connected graph supplied, so K_n and K_{1,n-1} (equality) pass.  The
+    radii are taken in stacks of same-order graphs."""
     t0 = time.perf_counter()
+    # one component search per graph serves the filter, the bound's premise
+    # and the radius, whose one component is then the whole vertex set
+    connected = (g for g in graphs if g.n >= 1 and len(component_masks(g.rows, g.n, 0)) == 1)
     cases = 0
     failures = []
-    for g in graphs:
-        if g.n < 1 or not is_connected(g):
-            continue
-        cases += 1
-        rho = spectral_radius(g).rho
-        bound = hong_bound(g)
-        if rho > bound + RHO_TOL:
-            failures.append({"graph6": to_graph6(g).decode("ascii"), "rho": rho, "bound": bound})
+    for stack in _stacks(connected):
+        cases += len(stack)
+        whole = [[(1 << g.n) - 1] for g in stack]
+        for g, comps, result in zip(stack, whole, spectral_radii(stack, whole)):
+            bound = hong_bound(g, comps)
+            if result.rho > bound + RHO_TOL:
+                failures.append({"graph6": to_graph6(g).decode("ascii"), "rho": result.rho,
+                                 "bound": bound})
     return _verify_report("hong-bound", cases, failures, t0)
 
 

@@ -1,13 +1,17 @@
 """Spectral radius machinery.
 
 The adjacency spectral radius of a graph is the largest top eigenvalue over
-its components.  ``graph.bit_matrix`` unpacks the row bitmasks into the
-dense adjacency matrix once per graph; each component then takes one of two
-routes by its order k: a direct symmetric eigensolve (``numpy.linalg.eigh``)
-when k is at most ``DIRECT_MAX_ORDER``, and power iteration on A + I above
-it, whose working memory is the matrix itself.  Either route certifies its
-value: the l2 residual of the returned unit vector bounds the eigenvalue
-error, and it must be at most ``RHO_TOL``.
+its components.  Radii are taken for a stack of same-order graphs, a single
+graph being the one-graph stack.  ``graph.bit_matrix`` unpacks the row
+bitmasks of the whole stack into dense adjacency matrices in one call; each
+component then takes one of two routes by its order k: a direct symmetric
+eigensolve (``numpy.linalg.eigh``) when k is at most ``DIRECT_MAX_ORDER``,
+and power iteration on A + I above it, whose working memory is the matrix
+itself.  The direct route groups the component blocks of the whole stack
+by order and solves each group in one stacked ``eigh``, which is the single
+solve of each block bit for bit; a whole disconnected matrix would not be.
+Either route certifies its value: the l2 residual of the returned unit
+vector bounds the eigenvalue error, and it must be at most ``RHO_TOL``.
 
 Also here: Hong's edge bound for connected graphs, and, for real-rooted
 integer polynomials such as the quotient polynomials of the clique joins,
@@ -82,15 +86,77 @@ def _power_iteration(a: np.ndarray, tol: float, cap: int) -> tuple[float, float,
     return lam, float(np.max(np.abs(r))), cap, False
 
 
-def _direct(a: np.ndarray, tol: float) -> tuple[float, float, bool]:
-    """Top eigenpair of symmetric ``a`` from one dense eigensolve.  Returns
-    (rho, inf-norm residual, ok); ``ok`` is False when the l2 residual of the
-    returned unit vector exceeds ``tol``."""
-    w, v = np.linalg.eigh(a)
-    rho = float(w[-1])
-    x = v[:, -1]
-    r = a @ x - rho * x
-    return rho, float(np.max(np.abs(r))), float(np.linalg.norm(r)) <= tol
+def _block(bits: np.ndarray, comp: int, k: int) -> np.ndarray:
+    """The rows and columns of ``bits`` in ``comp``, a component of order k."""
+    if k == bits.shape[0]:  # a connected graph skips the gather, 8 ms at n = 1000
+        return bits
+    idx = list(iter_bits(comp))
+    return bits[np.ix_(idx, idx)]
+
+
+def spectral_radii(graphs: Sequence[Graph], components: Sequence[Sequence[int]] | None = None
+                   ) -> list[SpectralResult]:
+    """``spectral_radius`` of each graph of a same-order stack.
+
+    The direct route's component blocks of the whole stack are grouped by
+    order, and each group takes one stacked ``eigh`` and one vectorised l2
+    residual test; a stacked ``eigh`` is the single one, bit for bit, on every
+    block.  ``components`` holds each graph's ``component_masks`` when the
+    caller has them.  Errors are raised at the first graph, and its first
+    component, that ``spectral_radius`` would raise on.
+    """
+    if not graphs:
+        return []
+    n = graphs[0].n
+    if n < 1:
+        raise ValueError("spectral radius needs at least one vertex")
+    if any(g.n != n for g in graphs):
+        raise ValueError("a stack holds graphs of one order")
+    check_dense_order(n, "graph")
+    if components is None:
+        components = [component_masks(g.rows, n, 0) for g in graphs]
+    tol = RHO_TOL
+    bits = bit_matrix([row for g in graphs for row in g.rows], n).reshape(len(graphs), n, n)
+    slots: dict[int, list[tuple[int, int]]] = {}  # block order -> (graph, component)
+    for i, comps in enumerate(components):
+        for j, comp in enumerate(comps):
+            if 1 < comp.bit_count() <= DIRECT_MAX_ORDER:
+                slots.setdefault(comp.bit_count(), []).append((i, j))
+    direct = {}
+    for k, where in slots.items():
+        a = np.array([_block(bits[i], components[i][j], k) for i, j in where], dtype=np.float64)
+        w, v = np.linalg.eigh(a)
+        rho, x = w[:, -1], v[:, :, -1]
+        r = (a @ x[:, :, None])[:, :, 0] - rho[:, None] * x
+        found = zip(rho.tolist(), np.abs(r).max(axis=1).tolist(),
+                    (np.linalg.norm(r, axis=1) <= tol).tolist())
+        direct.update(zip(where, found))
+    results = []
+    for i, comps in enumerate(components):
+        # isolated vertices contribute eigenvalue 0, on the direct route's side
+        best_rho, best_res, best_method = 0.0, 0.0, "dense-eigh"
+        total_iters = 0
+        for j, comp in enumerate(comps):
+            k = comp.bit_count()
+            if k == 1:
+                continue
+            if k <= DIRECT_MAX_ORDER:
+                method, iters = "dense-eigh", 0
+                rho, res, ok = direct[i, j]
+                failure = f"eigensolver residual exceeds tol={tol}"
+            else:
+                method, cap = "dense-iteration", 100 * k + 1000
+                a = _block(bits[i], comp, k).astype(np.float64)
+                rho, res, iters, ok = _power_iteration(a, tol, cap)
+                failure = f"power iteration did not reach tol={tol} within {cap} iterations"
+            total_iters += iters
+            if not ok:
+                best = SpectralResult(max(best_rho, rho), res, total_iters, method)
+                raise ConvergenceError(failure, best)
+            if rho > best_rho:
+                best_rho, best_res, best_method = rho, res, method
+        results.append(SpectralResult(best_rho, best_res, total_iters, best_method))
+    return results
 
 
 def spectral_radius(g: Graph) -> SpectralResult:
@@ -100,44 +166,14 @@ def spectral_radius(g: Graph) -> SpectralResult:
     ``ConvergenceError`` when a component's value cannot be certified within
     ``RHO_TOL`` on its route.
     """
-    if g.n < 1:
-        raise ValueError("spectral radius needs at least one vertex")
-    check_dense_order(g.n, "graph")
-    tol = RHO_TOL
-    bits = bit_matrix(g.rows)
-    # isolated vertices contribute eigenvalue 0, on the direct route's side
-    best_rho, best_res, best_method = 0.0, 0.0, "dense-eigh"
-    total_iters = 0
-    for comp in component_masks(g.rows, g.n, 0):
-        k = comp.bit_count()
-        if k == 1:
-            continue
-        if k < g.n:
-            idx = list(iter_bits(comp))
-            block = bits[np.ix_(idx, idx)]
-        else:  # a connected graph skips the gather, 8 ms at n = 1000
-            block = bits
-        a = block.astype(np.float64)
-        if k <= DIRECT_MAX_ORDER:
-            method, iters = "dense-eigh", 0
-            rho, res, ok = _direct(a, tol)
-            failure = f"eigensolver residual exceeds tol={tol}"
-        else:
-            method, cap = "dense-iteration", 100 * k + 1000
-            rho, res, iters, ok = _power_iteration(a, tol, cap)
-            failure = f"power iteration did not reach tol={tol} within {cap} iterations"
-        total_iters += iters
-        if not ok:
-            best = SpectralResult(max(best_rho, rho), res, total_iters, method)
-            raise ConvergenceError(failure, best)
-        if rho > best_rho:
-            best_rho, best_res, best_method = rho, res, method
-    return SpectralResult(best_rho, best_res, total_iters, best_method)
+    return spectral_radii([g])[0]
 
 
-def hong_bound(g: Graph) -> float:
-    """Edge-count bound sqrt(2m - n + 1) on the spectral radius; connected graphs only."""
-    if not is_connected(g):
+def hong_bound(g: Graph, components: Sequence[int] | None = None) -> float:
+    """Edge-count bound sqrt(2m - n + 1) on the spectral radius; connected
+    graphs only.  ``components``, g's ``component_masks`` when the caller has
+    them, spares the search."""
+    if not (is_connected(g) if components is None else len(components) == 1):
         raise ValueError("the sqrt(2m - n + 1) bound is only valid for connected graphs")
     return math.sqrt(2 * g.edge_count() - g.n + 1)
 

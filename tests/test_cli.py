@@ -287,8 +287,9 @@ class TestVerify:
         # a radius twice RHO_TOL, its certified error, over Hong's bound is a failure
         from factorspec import harness
 
-        monkeypatch.setattr(harness, "spectral_radius", lambda g: spectral.SpectralResult(
-            spectral.hong_bound(g) + 2 * spectral.RHO_TOL, 0.0, 0, "dense-eigh"))
+        monkeypatch.setattr(harness, "spectral_radii", lambda graphs, components: [
+            spectral.SpectralResult(spectral.hong_bound(g) + 2 * spectral.RHO_TOL, 0.0, 0,
+                                    "dense-eigh") for g in graphs])
         path = tmp_path / "cat.g6"
         path.write_bytes(b"Bw\n")
         code, out, err = run(capsys, "verify", "hong", "--input", str(path), "--json")

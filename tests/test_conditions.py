@@ -743,29 +743,91 @@ class TestSubsetBlocks:
             assert [conditions._rank(m, k) for m in masks] == list(range(1 << k)), k
 
     def test_values_are_the_capped_functional(self):
-        # n = 13 and 14 span 2 and 4 blocks; the capped functional, with the
-        # decider's caps y = min(f, d + 1) and x = min(g + f - y, d + 1), is
-        # evaluated here one subset at a time from the rows, and each block
-        # lists its subsets by ascending rank
+        # n = 13 and 14 span 2 and 4 blocks; each stack holds two graphs, the
+        # second twice under different functions.  The capped functional,
+        # with the decider's caps y = min(f, d + 1) and
+        # x = min(g + f - y, d + 1), is evaluated here one subset at a time
+        # from the rows, and each block lists its subsets by ascending rank
         rng = random.Random(61)
         for n in (13, 14):
-            g = random_graph(rng, n, 0.4)
-            gfun = [rng.choice((1, 2, 3, 10**19)) for _ in range(n)]
-            ffun = [gv + rng.choice((0, 1, 10**20)) for gv in gfun]
-            cap = [row.bit_count() + 1 for row in g.rows]
-            y = [min(fv, c) for fv, c in zip(ffun, cap)]
-            x = [min(gv + fv - yv, c) for gv, fv, yv, c in zip(gfun, ffun, y, cap)]
+            graphs = [random_graph(rng, n, 0.4), random_graph(rng, n, 0.6)]
+            graphs.append(graphs[1])
+            weights = []
+            for g in graphs:
+                gfun = [rng.choice((1, 2, 3, 10**19)) for _ in range(n)]
+                ffun = [gv + rng.choice((0, 1, 10**20)) for gv in gfun]
+                cap = [row.bit_count() + 1 for row in g.rows]
+                y = [min(fv, c) for fv, c in zip(ffun, cap)]
+                weights.append(([min(gv + fv - yv, c) for gv, fv, yv, c
+                                 in zip(gfun, ffun, y, cap)], y))
+            xs, ys = zip(*weights)
             checked = []
-            for fixed, masks, values in conditions._blocks(g.rows, x, y):
+            for fixed, masks, values in conditions._blocks([g.rows for g in graphs], xs, ys):
                 masks = [fixed | s for s in masks.tolist()]
                 ranks = [conditions._rank(s, n) for s in masks]
                 assert ranks == sorted(ranks), n
-                for s, got in zip(masks, values.tolist()):
-                    value = sum(x[v] if s >> v & 1 else
-                                min((g.rows[v] & ~s).bit_count() - y[v], 0) for v in range(n))
-                    assert got == value, (n, s)
+                assert values.shape == (len(graphs), len(masks))
+                for g, (x, y), row in zip(graphs, weights, values.tolist()):
+                    for s, got in zip(masks, row):
+                        value = sum(x[v] if s >> v & 1 else
+                                    min((g.rows[v] & ~s).bit_count() - y[v], 0) for v in range(n))
+                        assert got == value, (n, s)
                 checked += masks
             assert sorted(checked) == list(range(1 << n))
+
+
+class TestSubsetStacks:
+    """A stack of same-order graphs takes one pass of the subset blocks; each
+    graph's report is its own report taken alone."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_catalog_stacks_match_graphs_alone(self, n):
+        # every graph of the catalog, disconnected ones included, in stacks
+        # of the harness's size and, below order 8, of three (which cuts
+        # them elsewhere)
+        graphs = all_graphs(n)
+        sizes = (conditions.stack_size(n), 3) if n < 8 else (conditions.stack_size(n),)
+        for a, b in ((1, 2), (1, 3), (2, 3), (2, 4)):
+            bounds = DegreeBounds(a, b)
+            alone = [report_tuple(has_all_fractional_ab_factors(g, bounds)) for g in graphs]
+            for size in sizes:
+                stacked = [report_tuple(r) for i in range(0, len(graphs), size) for r in
+                           conditions.has_all_fractional_ab_factors_stack(graphs[i:i + size],
+                                                                          bounds)]
+                assert stacked == alone, (n, a, b, size)
+
+    def test_seeded_multi_block_stacks(self):
+        # n = 13 and 14 span 2 and 4 blocks; each graph has its own mixed
+        # (g, f), with values up to 10^19 + 10^20, and one graph comes twice
+        rng = random.Random(33)
+        for n in (13, 14):
+            graphs = [random_graph(rng, n, p) for p in (0.2, 0.5, 0.8)]
+            graphs += [graphs[1], from_edge_list(n, [])]
+            funcs = []
+            for _ in graphs:
+                gfun = tuple(rng.choice((1, 2, 3, 10**19)) for _ in range(n))
+                funcs.append(DegreeFunctions(gfun, tuple(gv + rng.choice((0, 1, 10**20))
+                                                         for gv in gfun)))
+            stacked = conditions.lu_all_fractional_gf_stack(graphs, funcs)
+            assert [report_tuple(r) for r in stacked] == [
+                report_tuple(lu_all_fractional_gf(g, fn)) for g, fn in zip(graphs, funcs)]
+
+    def test_stack_size_budget(self):
+        # a stack's weight tables, (n + 2) 2^k entries per graph, fill at most
+        # one table at the cap: 38 graphs of order 8, one of order 13 and up
+        budget = (conditions.SUBSET_ENUM_CAP + 2) << conditions._BLOCK_BITS
+        assert (conditions.stack_size(8), conditions.stack_size(22)) == (38, 1)
+        for n in range(1, conditions.SUBSET_ENUM_CAP + 1):
+            entries = (n + 2) << min(n, conditions._BLOCK_BITS)
+            size = conditions.stack_size(n)
+            assert size * entries <= max(budget, entries) < (size + 1) * entries, n
+
+    def test_one_order_per_stack(self):
+        with pytest.raises(ValueError, match="one order"):
+            conditions.has_all_fractional_ab_factors_stack([k(3), k(4)], DegreeBounds(1, 2))
+        with pytest.raises(ValueError, match="requires a < b"):
+            conditions.has_all_fractional_ab_factors_stack([k(3)], DegreeBounds(2, 2))
+        assert conditions.has_all_fractional_ab_factors_stack([], DegreeBounds(1, 2)) == []
 
 
 class TestSubsetMemory:

@@ -17,8 +17,10 @@ from factorspec import (
     spectral_radius,
     to_graph6,
 )
-from factorspec.conditions import has_all_fractional_ab_factors
+from factorspec.conditions import (has_all_ab_factors, has_all_fractional_ab_factors,
+                                   stack_size)
 from factorspec.harness import (
+    MODES,
     MineReport,
     SuiteMismatch,
     SuiteReport,
@@ -33,7 +35,7 @@ from factorspec.harness import (
     verify_k1_join_bound,
     verify_quotient_transfer,
 )
-from catalogs import complete, connected_graphs, disjoint_union
+from catalogs import all_graphs, complete, connected_graphs, disjoint_union
 
 
 class TestStreamGraph6:
@@ -147,8 +149,8 @@ class TestMineExtremal:
         # each radius is within RHO_TOL of exact, so radii 2 * RHO_TOL apart
         # may be one exact radius and tie to the least graph6; wider gaps do not
         radii = {"E?ow": 3.0, "EEh_": 3.0 + gap * spectral.RHO_TOL, "ECp_": 1.0}
-        monkeypatch.setattr(harness, "spectral_radius", lambda g: spectral.SpectralResult(
-            radii[to_graph6(g).decode()], 0.0, 0, "dense-eigh"))
+        monkeypatch.setattr(harness, "spectral_radii", lambda graphs: [spectral.SpectralResult(
+            radii[to_graph6(g).decode()], 0.0, 0, "dense-eigh") for g in graphs])
         graphs = [parse_graph6(g6) for g6 in radii]
         report = mine_extremal(graphs, DegreeBounds(1, 2), "fractional", workers=1)
         assert report.failing_count == 3
@@ -174,10 +176,41 @@ class TestMineExtremal:
         assert suite.passed and calls == {"parse": 0, "encode": 0}
 
     def test_worker_count_does_not_change_report(self):
-        graphs = connected_graphs(5)
-        one = mine_extremal(graphs, DegreeBounds(1, 2), "integer", workers=1)
-        two = mine_extremal(graphs, DegreeBounds(1, 2), "integer", workers=2)
-        assert report_to_dict(one) == report_to_dict(two)
+        # the order-7 catalog makes 13 stacks, so two workers take a pool
+        graphs = all_graphs(7)
+        for mode in MODES:
+            one = mine_extremal(graphs, DegreeBounds(1, 3), mode, workers=1)
+            two = mine_extremal(graphs, DegreeBounds(1, 3), mode, workers=2)
+            assert report_to_dict(one) == report_to_dict(two), mode
+
+    @pytest.mark.parametrize("mode", ["integer", "fractional"])
+    def test_stacks_report_what_graphs_alone_report(self, mode):
+        # each graph decided and, when it fails, solved on its own: stacking
+        # moves no verdict and no radius from one graph to another
+        graphs = all_graphs(7)[::3] + [build_hnb(7, 3)]
+        bounds = DegreeBounds(1, 3)
+        decide = {"integer": has_all_ab_factors, "fractional": has_all_fractional_ab_factors}[mode]
+        failing = [(spectral_radius(g).rho, to_graph6(g).decode()) for g in graphs
+                   if not decide(g, bounds).verdict]
+        top = max(rho for rho, _ in failing)
+        rho, g6 = min((g6, rho) for rho, g6 in failing if top - rho <= 2 * spectral.RHO_TOL)[::-1]
+        report = mine_extremal(graphs, bounds, mode, workers=1)
+        assert len(graphs) > 2 * stack_size(7)
+        assert (report.failing_count, report.max_rho_failing, report.argmax_graph) == (
+            len(failing), rho, g6)
+
+
+class TestStacks:
+    def test_runs_of_one_order_cut_at_the_stack_size(self):
+        # in order, each stack one order and at most stack_size long, and the
+        # last partial stack kept
+        graphs = all_graphs(7)[:200] + all_graphs(3) + all_graphs(7)[:5]
+        stacks = list(harness._stacks(graphs))
+        assert [g for stack in stacks for g in stack] == graphs
+        assert [(stack[0].n, len(stack)) for stack in stacks] == [
+            (7, 85), (7, 85), (7, 30), (3, 4), (7, 5)]
+        assert all(len({g.n for g in stack}) == 1 for stack in stacks)
+        assert list(harness._stacks([])) == []
 
 
 def rho_from_quotient(n, b):
@@ -278,6 +311,27 @@ class TestVerifySweeps:
     def test_hong(self):
         report = verify_hong(connected_graphs(5))
         assert report.passed and report.cases_run == len(connected_graphs(5))
+
+    def test_hong_searches_components_once_per_graph(self, monkeypatch):
+        # the filter's search serves the bound and the radius too; orders
+        # change along the input, and the empty graph is skipped unsearched
+        searched = []
+
+        def counted(rows, n, avoid):
+            searched.append(n)
+            return components(rows, n, avoid)
+
+        def refused(*args):
+            raise AssertionError("a second component search")
+
+        components = harness.component_masks
+        monkeypatch.setattr(harness, "component_masks", counted)
+        monkeypatch.setattr(spectral, "component_masks", refused)
+        monkeypatch.setattr(spectral, "is_connected", refused)
+        graphs = all_graphs(4) + all_graphs(6) + [harness.Graph(0, ())] + all_graphs(3)
+        report = verify_hong(graphs)
+        assert report.passed and report.cases_run == 6 + 112 + 2
+        assert searched == [g.n for g in graphs if g.n]
 
     def test_quotient_transfer(self):
         report = verify_quotient_transfer(ns=(10, 40), bs=(2, 3))

@@ -28,10 +28,10 @@ from factorspec.extremal import (
     g1_join_size,
     layout_charpoly,
 )
-from factorspec.graph import iter_bits
+from factorspec.graph import bit_matrix, iter_bits
 from factorspec.spectral import _poly_eval, _roots_at_least, largest_root
 from bruteforce import charpoly_3x3, counted_quotient
-from catalogs import complete, connected_graphs, disjoint_union, edges, join
+from catalogs import all_graphs, complete, connected_graphs, disjoint_union, edges, join
 
 
 def eigvalsh_rho(g) -> float:
@@ -203,11 +203,11 @@ class TestSpectralRadius:
         # K_4: far over RHO_TOL, and under a tolerance 10^4 times looser
         eigh = np.linalg.eigh
 
-        def perturbed(a):
+        def perturbed(a):  # a stack of blocks: perturb each top eigenvector
             w, v = eigh(a)
             v = v.copy()
-            v[0, -1] += 1e-8
-            v[:, -1] /= np.linalg.norm(v[:, -1])
+            v[..., 0, -1] += 1e-8
+            v[..., :, -1] /= np.linalg.norm(v[..., :, -1], axis=-1, keepdims=True)
             return w, v
 
         monkeypatch.setattr(np.linalg, "eigh", perturbed)
@@ -236,6 +236,69 @@ class TestSpectralRadius:
         # ||r||_inf >= ||r||_2 / sqrt(k) on k = 200 entries
         assert math.isfinite(best.residual)
         assert best.residual >= 1e-14 / math.sqrt(200)
+
+
+def one_at_a_time(g):
+    """The direct route one component at a time, as ``spectral_radius`` took
+    it before radii were stacked: one ``eigh`` per block, and its residual."""
+    bits = bit_matrix(g.rows)
+    best = spectral.SpectralResult(0.0, 0.0, 0, "dense-eigh")
+    for comp in spectral.component_masks(g.rows, g.n, 0):
+        if comp.bit_count() > 1:
+            idx = list(iter_bits(comp))
+            a = bits[np.ix_(idx, idx)].astype(np.float64)
+            w, v = np.linalg.eigh(a)
+            x = v[:, -1]
+            r = a @ x - w[-1] * x
+            assert np.linalg.norm(r) <= spectral.RHO_TOL
+            if float(w[-1]) > best.rho:
+                best = spectral.SpectralResult(float(w[-1]), float(np.max(np.abs(r))), 0,
+                                               "dense-eigh")
+    return best
+
+
+class TestStackedRadii:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_bitwise_equal_to_one_at_a_time(self, n):
+        # every catalog graph, connected and disconnected in one stack, so a
+        # stack holds blocks of several orders; a seeded shuffle mixes them
+        graphs = list(all_graphs(n))
+        random.Random(n).shuffle(graphs)
+        expected = [one_at_a_time(g) for g in graphs]
+        for size in (37, len(graphs)):
+            stacked = [r for i in range(0, len(graphs), size)
+                       for r in spectral.spectral_radii(graphs[i:i + size])]
+            assert stacked == expected, (n, size)
+        assert [spectral_radius(g) for g in graphs[:50]] == expected[:50]
+
+    def test_components_given(self):
+        # the components a caller already has stand in for the search
+        graphs = [complete(5), cycle_graph(5), path_graph(5)]
+        whole = [[(1 << 5) - 1]] * 3
+        assert spectral.spectral_radii(graphs, whole) == spectral.spectral_radii(graphs)
+
+    def test_every_block_certified(self, monkeypatch):
+        # one perturbed top eigenvector in the middle of a stacked group fails
+        # its own graph, C_5, and the error carries that graph's radius
+        eigh = np.linalg.eigh
+
+        def perturbed(a):
+            w, v = eigh(a)
+            v = v.copy()
+            v[1, 0, -1] += 1e-8
+            v[1, :, -1] /= np.linalg.norm(v[1, :, -1])
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        graphs = [path_graph(5), cycle_graph(5), complete(5)]
+        with pytest.raises(ConvergenceError, match="eigensolver residual exceeds") as info:
+            spectral.spectral_radii(graphs)
+        assert abs(info.value.best.rho - 2.0) < 1e-9
+
+    def test_one_order_per_stack(self):
+        assert spectral.spectral_radii([]) == []
+        with pytest.raises(ValueError, match="one order"):
+            spectral.spectral_radii([complete(3), complete(4)])
 
 
 class TestHongBound:
